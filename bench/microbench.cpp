@@ -188,8 +188,9 @@ void BM_FatTreeClosedLoopGfc(benchmark::State& state) {
     flows += r.flows_completed;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["flows_completed"] =
-      benchmark::Counter(static_cast<double>(flows));
+  // Per iteration: every iteration runs the same deterministic trial.
+  state.counters["flows_completed"] = benchmark::Counter(
+      static_cast<double>(flows), benchmark::Counter::kAvgIterations);
   state.SetLabel("scheduler events executed");
 }
 BENCHMARK(BM_FatTreeClosedLoopGfc)
@@ -228,8 +229,9 @@ void BM_FatTreeK16FullFidelity(benchmark::State& state) {
     flows += r.flows_completed;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["flows_completed"] =
-      benchmark::Counter(static_cast<double>(flows));
+  // Per iteration: every iteration runs the same deterministic trial.
+  state.counters["flows_completed"] = benchmark::Counter(
+      static_cast<double>(flows), benchmark::Counter::kAvgIterations);
   state.SetLabel("scheduler events executed");
 }
 BENCHMARK(BM_FatTreeK16FullFidelity)

@@ -1,7 +1,6 @@
 #include "analyze/analyze.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "analyze/cycles.hpp"
 #include "analyze/detail.hpp"
@@ -208,34 +207,50 @@ void lint_routing(const Input& in, Report* rep) {
   }
   const bool layered = max_layer > min_layer;
 
+  // Per-destination scratch, indexed by node and reset for each
+  // destination: DFS color (0 white, 1 grey, 2 black) and parent, and the
+  // valley BFS's seen flags per (node, descended) state.
+  const std::size_t n = topo.node_count();
+  std::vector<char> color(n);
+  std::vector<topo::NodeIndex> parent(n);
+  std::vector<char> seen(2 * n);
+  const auto first_visit = [&](topo::NodeIndex v, bool descended) {
+    char& s = seen[2 * static_cast<std::size_t>(v) + (descended ? 1 : 0)];
+    const bool first = s == 0;
+    s = 1;
+    return first;
+  };
+  std::vector<std::pair<topo::NodeIndex, std::size_t>> stack;
+  std::vector<std::pair<topo::NodeIndex, bool>> frontier;
   for (const topo::NodeIndex dst : hosts) {
     // Loop detection: tri-color DFS over switch next-hops toward dst,
     // reporting the first cycle found (deterministic: switches ascending,
     // next hops in table order).
-    std::map<topo::NodeIndex, int> color;  // 0/absent white, 1 grey, 2 black
-    std::map<topo::NodeIndex, topo::NodeIndex> parent;
+    std::fill(color.begin(), color.end(), 0);
     bool loop_reported = false;
     for (const topo::NodeIndex root : switches) {
-      if (loop_reported || color[root] != 0) continue;
-      std::vector<std::pair<topo::NodeIndex, std::size_t>> stack{{root, 0}};
-      color[root] = 1;
+      if (loop_reported || color[static_cast<std::size_t>(root)] != 0) continue;
+      stack.assign(1, {root, 0});
+      color[static_cast<std::size_t>(root)] = 1;
       while (!stack.empty() && !loop_reported) {
         auto& [v, next] = stack.back();
-        const auto& hops = routing.next_hops(v, dst);
+        const auto hops = routing.next_hops(v, dst);
         std::size_t i = next++;
         // Skip host next-hops (delivery, not transit).
         while (i < hops.size() && topo.is_host(hops[i])) i = next++;
         if (i < hops.size()) {
           const topo::NodeIndex w = hops[i];
-          if (color[w] == 0) {
-            color[w] = 1;
-            parent[w] = v;
+          const auto wi = static_cast<std::size_t>(w);
+          if (color[wi] == 0) {
+            color[wi] = 1;
+            parent[wi] = v;
             stack.push_back({w, 0});
-          } else if (color[w] == 1) {
+          } else if (color[wi] == 1) {
             std::string cyc = topo.node(w).name;
             std::vector<topo::NodeIndex> chain{v};
-            for (topo::NodeIndex u = v; u != w; u = parent[u])
-              chain.push_back(parent[u]);
+            for (topo::NodeIndex u = v; u != w;
+                 u = parent[static_cast<std::size_t>(u)])
+              chain.push_back(parent[static_cast<std::size_t>(u)]);
             for (auto it = chain.rbegin(); it != chain.rend(); ++it)
               cyc += " -> " + topo.node(*it).name;
             cyc += " -> " + topo.node(w).name;
@@ -245,7 +260,7 @@ void lint_routing(const Input& in, Report* rep) {
             loop_reported = true;
           }
         } else {
-          color[v] = 2;
+          color[static_cast<std::size_t>(v)] = 2;
           stack.pop_back();
         }
       }
@@ -256,12 +271,12 @@ void lint_routing(const Input& in, Report* rep) {
     // BFS over (switch, descended) states tolerates broken (cyclic)
     // tables; the first violation per destination is reported.
     if (!layered) continue;
-    std::map<std::pair<topo::NodeIndex, bool>, char> seen;
-    std::vector<std::pair<topo::NodeIndex, bool>> frontier;
+    std::fill(seen.begin(), seen.end(), 0);
+    frontier.clear();
     for (const topo::NodeIndex s : hosts) {
       if (s == dst) continue;
-      for (const topo::NodeIndex n : routing.next_hops(s, dst))
-        if (!topo.is_host(n) && !seen[{n, false}]++) frontier.push_back({n, false});
+      for (const topo::NodeIndex v : routing.next_hops(s, dst))
+        if (!topo.is_host(v) && first_visit(v, false)) frontier.push_back({v, false});
     }
     bool valley_reported = false;
     for (std::size_t qi = 0; qi < frontier.size() && !valley_reported; ++qi) {
@@ -278,7 +293,7 @@ void lint_routing(const Input& in, Report* rep) {
           break;
         }
         const bool next_descended = descended || lw < lv;
-        if (!seen[{w, next_descended}]++) frontier.push_back({w, next_descended});
+        if (first_visit(w, next_descended)) frontier.push_back({w, next_descended});
       }
     }
   }

@@ -15,6 +15,33 @@ constexpr std::size_t kSccCacheCap = 64;
 
 }  // namespace
 
+bool IncrementalAnalyzer::DstCache::matches(const topo::RoutingTable& routing,
+                                            topo::NodeIndex dst) const {
+  const std::size_t n = routing.node_count();
+  if (ends.size() != n) return false;
+  std::size_t begin = 0;
+  for (std::size_t x = 0; x < n; ++x) {
+    const auto column = routing.next_hops(static_cast<topo::NodeIndex>(x), dst);
+    const std::size_t end = ends[x];
+    if (!std::equal(column.begin(), column.end(), hops.begin() + begin,
+                    hops.begin() + end))
+      return false;
+    begin = end;
+  }
+  return true;
+}
+
+void IncrementalAnalyzer::DstCache::store(const topo::RoutingTable& routing,
+                                          topo::NodeIndex dst) {
+  ends.clear();
+  hops.clear();
+  for (std::size_t x = 0; x < routing.node_count(); ++x) {
+    const auto column = routing.next_hops(static_cast<topo::NodeIndex>(x), dst);
+    hops.insert(hops.end(), column.begin(), column.end());
+    ends.push_back(static_cast<std::uint32_t>(hops.size()));
+  }
+}
+
 const Report& IncrementalAnalyzer::update(const topo::RoutingTable& routing) {
   ++stats_.updates;
   const topo::Topology& topo = *in_.topo;
@@ -30,16 +57,12 @@ const Report& IncrementalAnalyzer::update(const topo::RoutingTable& routing) {
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     const topo::NodeIndex dst = hosts[i];
     DstCache& cache = dst_cache_[i];
-    std::vector<std::vector<topo::NodeIndex>> column;
-    column.reserve(topo.node_count());
-    for (std::size_t x = 0; x < topo.node_count(); ++x)
-      column.push_back(routing.next_hops(static_cast<topo::NodeIndex>(x), dst));
-    if (column == cache.column) {
+    if (cache.matches(routing, dst)) {
       ++stats_.dst_reused;
     } else {
       ++stats_.dst_recomputed;
-      cache.ops = topo::destination_closure_ops(topo, routing, dst);
-      cache.column = std::move(column);
+      topo::destination_closure_ops(topo, routing, dst, &cache.ops);
+      cache.store(routing, dst);
     }
     graph.apply_ops(cache.ops);
   }

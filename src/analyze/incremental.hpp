@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -66,10 +67,18 @@ class IncrementalAnalyzer {
 
  private:
   struct DstCache {
+    /// Is the cached column exactly routing's column toward `dst`? Compared
+    /// in place, hop by hop.
+    bool matches(const topo::RoutingTable& routing, topo::NodeIndex dst) const;
+    /// Cache routing's column toward `dst`, reusing this entry's storage.
+    void store(const topo::RoutingTable& routing, topo::NodeIndex dst);
+
     /// Exact routing column this cache entry was computed from:
-    /// next_hops(x, dst) for every node x, in node order. Starts empty
-    /// (never equal to a real column), so first use always recomputes.
-    std::vector<std::vector<topo::NodeIndex>> column;
+    /// next_hops(x, dst) for every node x, in node order, flattened into
+    /// `hops`; `ends[x]` is one past node x's last hop. Starts empty (never
+    /// equal to a real column), so first use always recomputes.
+    std::vector<std::uint32_t> ends;
+    std::vector<topo::NodeIndex> hops;
     std::vector<topo::ClosureOp> ops;
   };
 

@@ -67,6 +67,7 @@ topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
 
   std::vector<int> ddist(n);   // hops to dst using down hops only
   std::vector<int> legal(n);   // hops to dst over any up* down* path
+  std::vector<NodeIndex> hops;  // one entry's next hops, reused
   for (const NodeIndex dst : hosts) {
     std::fill(ddist.begin(), ddist.end(), kInf);
     std::fill(legal.begin(), legal.end(), kInf);
@@ -102,7 +103,7 @@ topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
     // every realized path is up* down*.
     for (const NodeIndex v : switches) {
       const auto vi = static_cast<std::size_t>(v);
-      std::vector<NodeIndex> hops;
+      hops.clear();
       if (ddist[vi] == 1) {
         hops.push_back(dst);
       } else if (ddist[vi] != kInf) {
@@ -119,12 +120,12 @@ topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
         }
       }
       std::sort(hops.begin(), hops.end());
-      table.set_next_hops(v, dst, std::move(hops));
+      table.set_next_hops(v, dst, hops);
     }
     // Source hosts enter at their edge switch (if it can reach dst).
     for (const NodeIndex src : hosts) {
       if (src == dst) continue;
-      std::vector<NodeIndex> hops;
+      hops.clear();
       for (const auto& [s, link] : topo.neighbors(src)) {
         if (topo.is_host(s)) continue;
         if (s == dst) continue;
@@ -133,7 +134,7 @@ topo::RoutingTable cbd_free_routes(const topo::Topology& topo,
           hops.push_back(s);
       }
       std::sort(hops.begin(), hops.end());
-      table.set_next_hops(src, dst, std::move(hops));
+      table.set_next_hops(src, dst, hops);
     }
   }
 

@@ -26,7 +26,7 @@ void SwitchNode::ensure_tables() {
   }
 }
 
-void SwitchNode::set_route(NodeId dst, std::vector<std::int32_t> out_ports) {
+void SwitchNode::set_route(NodeId dst, std::span<const std::int32_t> out_ports) {
   const auto idx = static_cast<std::size_t>(dst);
   if (route_ref_.size() <= idx) route_ref_.resize(idx + 1);
   route_ref_[idx] = RouteRef{static_cast<std::uint32_t>(route_slots_.size()),

@@ -25,6 +25,8 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "net/node.hpp"
@@ -67,7 +69,10 @@ class SwitchNode final : public Node {
 
   // --- forwarding ---------------------------------------------------------
   /// Equal-cost candidate out-ports toward destination host `dst`.
-  void set_route(NodeId dst, std::vector<std::int32_t> out_ports);
+  void set_route(NodeId dst, std::span<const std::int32_t> out_ports);
+  void set_route(NodeId dst, std::initializer_list<std::int32_t> out_ports) {
+    set_route(dst, std::span<const std::int32_t>(out_ports.begin(), out_ports.size()));
+  }
   void clear_routes();
   /// Selected out-port for this packet (-1 if unroutable). ECMP choice is
   /// a deterministic hash of the flow's path salt.

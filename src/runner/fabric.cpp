@@ -205,20 +205,21 @@ void Fabric::install_routing(const topo::Topology& topo,
                       static_cast<std::int64_t>(rep.verdict()));
     analyze::preflight_verdict(cfg_.preflight, rep);
   }
+  const std::vector<topo::NodeIndex> hosts = topo.hosts();
+  std::vector<std::int32_t> ports;  // one entry's out-ports, reused
   for (topo::NodeIndex s : topo.switches()) {
     net::SwitchNode& swn = sw(s);
     swn.clear_routes();
-    for (topo::NodeIndex dst : topo.hosts()) {
-      const auto& hops = routing.next_hops(s, dst);
+    for (topo::NodeIndex dst : hosts) {
+      const auto hops = routing.next_hops(s, dst);
       if (hops.empty()) continue;
-      std::vector<std::int32_t> ports;
-      ports.reserve(hops.size());
+      ports.clear();
       for (topo::NodeIndex nh : hops) {
         const int p = port_to(s, nh);
         assert(p >= 0 && "routing references a failed link");
         ports.push_back(p);
       }
-      swn.set_route(dst, std::move(ports));
+      swn.set_route(dst, ports);
     }
   }
 }

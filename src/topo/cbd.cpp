@@ -1,16 +1,35 @@
 #include "topo/cbd.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace gfc::topo {
 
+BufferDependencyGraph::BufferDependencyGraph(const Topology& topo)
+    : topo_(&topo), ordinal_(topo.node_count(), -1) {
+  for (std::size_t i = 0; i < ordinal_.size(); ++i)
+    if (!topo.is_host(static_cast<NodeIndex>(i)))
+      ordinal_[i] = static_cast<int>(switch_count_++);
+  vertex_ids_.assign(switch_count_ * switch_count_, -1);
+}
+
 int BufferDependencyGraph::vertex(DirectedLink l) {
-  auto [it, inserted] = vertex_ids_.try_emplace(l, static_cast<int>(vertices_.size()));
-  if (inserted) {
+  const int from = ordinal_[static_cast<std::size_t>(l.first)];
+  const int to = ordinal_[static_cast<std::size_t>(l.second)];
+  assert(from >= 0 && to >= 0 && "dependency-graph vertices are switch-to-switch links");
+  int& id = vertex_ids_[static_cast<std::size_t>(from) * switch_count_ +
+                        static_cast<std::size_t>(to)];
+  if (id < 0) {
+    id = static_cast<int>(vertices_.size());
     vertices_.push_back(l);
     edges_.emplace_back();
   }
-  return it->second;
+  return id;
+}
+
+void BufferDependencyGraph::add_edge(int a, int b) {
+  auto& out = edges_[static_cast<std::size_t>(a)];
+  if (std::find(out.begin(), out.end(), b) == out.end()) out.push_back(b);
 }
 
 void BufferDependencyGraph::add_path(const std::vector<NodeIndex>& path) {
@@ -22,69 +41,63 @@ void BufferDependencyGraph::add_path(const std::vector<NodeIndex>& path) {
   }
   for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
     const int a = vertex(hops[i]);
-    const int b = vertex(hops[i + 1]);
-    auto& out = edges_[static_cast<std::size_t>(a)];
-    if (std::find(out.begin(), out.end(), b) == out.end()) out.push_back(b);
+    add_edge(a, vertex(hops[i + 1]));
   }
 }
 
-std::vector<ClosureOp> destination_closure_ops(const Topology& topo,
-                                               const RoutingTable& routing,
-                                               NodeIndex dst) {
+void destination_closure_ops(const Topology& topo, const RoutingTable& routing,
+                             NodeIndex dst, std::vector<ClosureOp>* ops) {
   // Only switches actually reachable from some source host along the ECMP
   // DAG contribute dependencies: a next-hop table entry no packet can
   // arrive at (common after failures, when a switch keeps a bounce route
   // toward d but nothing routes *through* it toward d) must not fabricate
-  // cycles.
-  std::vector<ClosureOp> ops;
+  // cycles. Hosts and switches are visited in node order, which is the
+  // order of hosts() and switches().
+  const auto n = static_cast<NodeIndex>(topo.node_count());
+  ops->clear();
   std::vector<char> reachable(topo.node_count());
   std::vector<NodeIndex> frontier;
-  for (NodeIndex s : topo.hosts()) {
-    if (s == dst) continue;
-    for (NodeIndex n : routing.next_hops(s, dst)) {
-      if (!topo.is_host(n) && !reachable[static_cast<std::size_t>(n)]) {
-        reachable[static_cast<std::size_t>(n)] = 1;
-        frontier.push_back(n);
+  const auto reach = [&](NodeIndex from) {
+    for (NodeIndex v : routing.next_hops(from, dst)) {
+      if (!topo.is_host(v) && !reachable[static_cast<std::size_t>(v)]) {
+        reachable[static_cast<std::size_t>(v)] = 1;
+        frontier.push_back(v);
       }
     }
-  }
+  };
+  for (NodeIndex s = 0; s < n; ++s)
+    if (s != dst && topo.is_host(s)) reach(s);
   while (!frontier.empty()) {
     const NodeIndex v = frontier.back();
     frontier.pop_back();
-    for (NodeIndex n : routing.next_hops(v, dst)) {
-      if (!topo.is_host(n) && !reachable[static_cast<std::size_t>(n)]) {
-        reachable[static_cast<std::size_t>(n)] = 1;
-        frontier.push_back(n);
-      }
-    }
+    reach(v);
   }
-  for (NodeIndex s : topo.switches()) {
+  for (NodeIndex s = 0; s < n; ++s) {
     if (!reachable[static_cast<std::size_t>(s)]) continue;
-    for (NodeIndex n : routing.next_hops(s, dst)) {
-      if (topo.is_host(n)) continue;
-      ops.push_back({{s, n}, {}, false});
-      for (NodeIndex m : routing.next_hops(n, dst)) {
+    for (NodeIndex v : routing.next_hops(s, dst)) {
+      if (topo.is_host(v)) continue;
+      ops->push_back({{s, v}, {}, false});
+      for (NodeIndex m : routing.next_hops(v, dst)) {
         if (topo.is_host(m)) continue;
-        ops.push_back({{s, n}, {n, m}, true});
+        ops->push_back({{s, v}, {v, m}, true});
       }
     }
   }
-  return ops;
 }
 
 void BufferDependencyGraph::apply_ops(const std::vector<ClosureOp>& ops) {
   for (const ClosureOp& op : ops) {
     const int a = vertex(op.a);
-    if (!op.edge) continue;
-    const int b = vertex(op.b);
-    auto& out = edges_[static_cast<std::size_t>(a)];
-    if (std::find(out.begin(), out.end(), b) == out.end()) out.push_back(b);
+    if (op.edge) add_edge(a, vertex(op.b));
   }
 }
 
 void BufferDependencyGraph::add_routing_closure(const RoutingTable& routing) {
-  for (NodeIndex dst : topo_->hosts())
-    apply_ops(destination_closure_ops(*topo_, routing, dst));
+  std::vector<ClosureOp> ops;
+  for (NodeIndex dst : topo_->hosts()) {
+    destination_closure_ops(*topo_, routing, dst, &ops);
+    apply_ops(ops);
+  }
 }
 
 void canonicalize_cycle(std::vector<DirectedLink>* cycle) {
@@ -113,9 +126,10 @@ CbdResult BufferDependencyGraph::find_cycle() const {
   // rotated into canonical smallest-link-first form.
   std::vector<int> color(static_cast<std::size_t>(n), 0);  // 0 white 1 grey 2 black
   std::vector<int> parent(static_cast<std::size_t>(n), -1);
+  std::vector<std::pair<int, std::size_t>> stack;
   for (int root = 0; root < n; ++root) {
     if (color[static_cast<std::size_t>(root)] != 0) continue;
-    std::vector<std::pair<int, std::size_t>> stack{{root, 0}};
+    stack.assign(1, {root, 0});
     color[static_cast<std::size_t>(root)] = 1;
     while (!stack.empty()) {
       auto& [v, next_edge] = stack.back();

@@ -6,7 +6,6 @@
 // at (s1->s2) depend on the buffer at (s2->s3). A directed cycle is a CBD.
 #pragma once
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,15 +40,17 @@ struct ClosureOp {
 
 class BufferDependencyGraph {
  public:
-  explicit BufferDependencyGraph(const Topology& topo) : topo_(&topo) {}
+  /// Sizes the dense vertex index for the topology's switches; switches
+  /// added to `topo` afterwards cannot be vertices.
+  explicit BufferDependencyGraph(const Topology& topo);
 
   /// Add the dependencies induced by one concrete flow path (node ids).
   void add_path(const std::vector<NodeIndex>& path);
 
   /// Add dependencies for *every* ECMP option toward *every* host: the
   /// union routing closure. A cycle here means the scenario is CBD-prone
-  /// (the pre-filter used for Table 1). Equivalent to replaying
-  /// destination_closure_ops() for every host in hosts() order.
+  /// (the pre-filter used for Table 1). Replays destination_closure_ops()
+  /// for every host in hosts() order, through one reused op buffer.
   void add_routing_closure(const RoutingTable& routing);
 
   /// Replay a recorded op sequence (see ClosureOp). Idempotent per op:
@@ -74,22 +75,30 @@ class BufferDependencyGraph {
 
  private:
   int vertex(DirectedLink l);
+  void add_edge(int a, int b);
 
   const Topology* topo_;
-  std::map<DirectedLink, int> vertex_ids_;
+  /// Switch ordinal of every node (-1 for hosts): the rows and columns of
+  /// vertex_ids_.
+  std::vector<int> ordinal_;
+  std::size_t switch_count_ = 0;
+  /// Vertex id of each (from, to) switch-ordinal pair, -1 while absent.
+  /// Dense rather than a map: a k=16 fat-tree is 320^2 ints (0.4 MB), and
+  /// the closure looks a link up ~20M times.
+  std::vector<int> vertex_ids_;
   std::vector<DirectedLink> vertices_;
   std::vector<std::vector<int>> edges_;
 };
 
 /// The op sequence add_routing_closure performs for one destination host,
-/// in execution order. A pure function of the topology's static structure
-/// (host/switch partition) and the routing column toward `dst`: two calls
-/// with equal columns return equal sequences, which is what lets the
-/// incremental analyzer cache per-destination ops and replay them
-/// unchanged after unrelated link flaps.
-std::vector<ClosureOp> destination_closure_ops(const Topology& topo,
-                                               const RoutingTable& routing,
-                                               NodeIndex dst);
+/// in execution order, written over `*ops` (its capacity is reused). A
+/// pure function of the topology's static structure (host/switch
+/// partition) and the routing column toward `dst`: two calls with equal
+/// columns produce equal sequences, which is what lets the incremental
+/// analyzer cache per-destination ops and replay them unchanged after
+/// unrelated link flaps.
+void destination_closure_ops(const Topology& topo, const RoutingTable& routing,
+                             NodeIndex dst, std::vector<ClosureOp>* ops);
 
 /// Rotate a cycle of directed links so the smallest link (lexicographic
 /// (from, to) order) comes first. The canonical form every witness and

@@ -1,11 +1,33 @@
 #include "topo/routing.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "net/ecmp.hpp"
 
 namespace gfc::topo {
+
+void RoutingTable::set_next_hops(NodeIndex at, NodeIndex dst,
+                                 std::span<const NodeIndex> hops) {
+  HopRef& ref = refs_[idx(at, dst)];
+  const auto count = static_cast<std::uint32_t>(hops.size());
+  const NodeIndex* src = hops.data();
+  if (count > ref.n) {
+    // Growing may move the pool, so a view into it is re-based by index.
+    const std::less<const NodeIndex*> less;
+    const bool pooled =
+        !less(src, pool_.data()) && less(src, pool_.data() + pool_.size());
+    const auto from = pooled ? static_cast<std::size_t>(src - pool_.data()) : 0;
+    ref.off = static_cast<std::uint32_t>(pool_.size());
+    pool_.resize(pool_.size() + count);
+    if (pooled) src = pool_.data() + from;
+  }
+  ref.n = count;
+  // Distinct entries never share slots: only a self-copy aliases.
+  NodeIndex* const out = pool_.data() + ref.off;
+  if (count != 0 && src != out) std::copy_n(src, count, out);
+}
 
 std::vector<NodeIndex> RoutingTable::trace(NodeIndex src, NodeIndex dst,
                                            std::uint64_t salt) const {
@@ -13,7 +35,7 @@ std::vector<NodeIndex> RoutingTable::trace(NodeIndex src, NodeIndex dst,
   NodeIndex at = src;
   while (at != dst) {
     if (path.size() > n_) return {};  // loop guard
-    const auto& hops = next_hops(at, dst);
+    const auto hops = next_hops(at, dst);
     if (hops.empty()) return {};
     const std::size_t pick =
         hops.size() == 1 ? 0 : net::ecmp_select(salt, at, hops.size());
@@ -28,27 +50,32 @@ RoutingTable compute_shortest_paths(const Topology& topo) {
   RoutingTable table(n);
   constexpr int kInf = std::numeric_limits<int>::max();
   std::vector<int> dist(n);
+  // The BFS queue is a plain array: each node enters it at most once per
+  // destination. `hops` collects one entry before it is copied into the
+  // table's pool; both are reused across every destination.
+  std::vector<NodeIndex> bfs(n);
+  std::vector<NodeIndex> hops;
   for (NodeIndex dst : topo.hosts()) {
     dist.assign(n, kInf);
     dist[static_cast<std::size_t>(dst)] = 0;
-    std::deque<NodeIndex> bfs{dst};
-    while (!bfs.empty()) {
-      const NodeIndex v = bfs.front();
-      bfs.pop_front();
+    std::size_t head = 0, tail = 0;
+    bfs[tail++] = dst;
+    while (head < tail) {
+      const NodeIndex v = bfs[head++];
       for (const auto& [nbr, link] : topo.neighbors(v)) {
         // Hosts never transit traffic: only the destination itself may be
         // an intermediate BFS node on the host layer.
         if (topo.is_host(nbr)) continue;
         if (dist[static_cast<std::size_t>(nbr)] == kInf) {
           dist[static_cast<std::size_t>(nbr)] = dist[static_cast<std::size_t>(v)] + 1;
-          bfs.push_back(nbr);
+          bfs[tail++] = nbr;
         }
       }
     }
     for (std::size_t v = 0; v < n; ++v) {
       const NodeIndex at = static_cast<NodeIndex>(v);
       if (at == dst) continue;
-      std::vector<NodeIndex> hops;
+      hops.clear();
       if (topo.is_host(at)) {
         // Source hosts (BFS never labels them) exit via their closest
         // attached switch(es).
@@ -73,7 +100,7 @@ RoutingTable compute_shortest_paths(const Topology& topo) {
           if (d_nbr != kInf && d_nbr == dist[v] - 1) hops.push_back(nbr);
         }
       }
-      if (!hops.empty()) table.set_next_hops(at, dst, std::move(hops));
+      if (!hops.empty()) table.set_next_hops(at, dst, hops);
     }
   }
   return table;

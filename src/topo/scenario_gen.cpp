@@ -154,8 +154,8 @@ CbdStress build_cbd_stress(const Topology& topo, const RoutingTable& routing,
     // Witness destinations: the ECMP DAG toward d must contain both hops.
     std::vector<NodeIndex> dsts;
     for (NodeIndex d : hosts) {
-      const auto& h1 = routing.next_hops(a, d);
-      const auto& h2 = routing.next_hops(b, d);
+      const auto h1 = routing.next_hops(a, d);
+      const auto h2 = routing.next_hops(b, d);
       const bool w1 = std::find(h1.begin(), h1.end(), b) != h1.end();
       const bool w2 = std::find(h2.begin(), h2.end(), c2) != h2.end();
       if (w1 && w2) dsts.push_back(d);

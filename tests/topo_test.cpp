@@ -3,7 +3,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 
+#include "analyze/scenario.hpp"
+#include "mech/cbd_routing.hpp"
+#include "reference_bdg.hpp"
 #include "topo/scenario_gen.hpp"
 
 namespace gfc::topo {
@@ -226,6 +231,181 @@ TEST(ScenarioGen, CbdStressCoversCycle) {
     return;
   }
   GTEST_SKIP() << "no coverable CBD-prone case in seed range";
+}
+
+// --- flat routing table ------------------------------------------------------
+
+std::vector<NodeIndex> hops_of(const RoutingTable& t, NodeIndex at, NodeIndex dst) {
+  const auto hops = t.next_hops(at, dst);
+  return {hops.begin(), hops.end()};
+}
+
+TEST(FlatRoutingTable, EntriesStartEmpty) {
+  const RoutingTable empty;
+  EXPECT_EQ(empty.node_count(), 0u);
+  const RoutingTable t(4);
+  EXPECT_EQ(t.node_count(), 4u);
+  for (NodeIndex at = 0; at < 4; ++at)
+    for (NodeIndex dst = 0; dst < 4; ++dst) {
+      EXPECT_TRUE(t.next_hops(at, dst).empty());
+      EXPECT_FALSE(t.routable(at, dst));
+    }
+}
+
+TEST(FlatRoutingTable, OverwriteOneEntry) {
+  RoutingTable t(5);
+  t.set_next_hops(0, 4, {1, 2});
+  t.set_next_hops(1, 4, {3});
+  t.set_next_hops(2, 4, {3, 4, 1});
+  // Shorter: written in place. Neighbouring entries are untouched.
+  t.set_next_hops(0, 4, {2});
+  EXPECT_EQ(hops_of(t, 0, 4), (std::vector<NodeIndex>{2}));
+  EXPECT_EQ(hops_of(t, 1, 4), (std::vector<NodeIndex>{3}));
+  EXPECT_EQ(hops_of(t, 2, 4), (std::vector<NodeIndex>{3, 4, 1}));
+  // Longer: fresh slots.
+  t.set_next_hops(1, 4, {4, 0, 2});
+  EXPECT_EQ(hops_of(t, 1, 4), (std::vector<NodeIndex>{4, 0, 2}));
+  EXPECT_EQ(hops_of(t, 0, 4), (std::vector<NodeIndex>{2}));
+  EXPECT_EQ(hops_of(t, 2, 4), (std::vector<NodeIndex>{3, 4, 1}));
+  // A view of the table's own pool, copied onto a longer and a shorter entry
+  // and onto itself.
+  t.set_next_hops(3, 4, t.next_hops(2, 4));
+  EXPECT_EQ(hops_of(t, 3, 4), (std::vector<NodeIndex>{3, 4, 1}));
+  t.set_next_hops(2, 4, t.next_hops(0, 4));
+  EXPECT_EQ(hops_of(t, 2, 4), (std::vector<NodeIndex>{2}));
+  t.set_next_hops(1, 4, t.next_hops(1, 4));
+  EXPECT_EQ(hops_of(t, 1, 4), (std::vector<NodeIndex>{4, 0, 2}));
+  // Enough pooled copies that the pool must grow, and move, under some.
+  for (NodeIndex at = 0; at < 5; ++at)
+    for (NodeIndex dst = 0; dst < 4; ++dst) {
+      t.set_next_hops(at, dst, t.next_hops(3, 4));
+      EXPECT_EQ(hops_of(t, at, dst), (std::vector<NodeIndex>{3, 4, 1}));
+    }
+  // Cleared.
+  t.set_next_hops(1, 4, std::vector<NodeIndex>{});
+  EXPECT_FALSE(t.routable(1, 4));
+  EXPECT_TRUE(t.routable(3, 4));
+}
+
+TEST(FlatRoutingTable, CopyAndMove) {
+  RoutingTable t(3);
+  t.set_next_hops(0, 2, {1});
+  t.set_next_hops(1, 2, {2});
+  RoutingTable copy = t;
+  copy.set_next_hops(0, 2, {2, 1});
+  EXPECT_EQ(hops_of(t, 0, 2), (std::vector<NodeIndex>{1}));
+  EXPECT_EQ(hops_of(copy, 0, 2), (std::vector<NodeIndex>{2, 1}));
+  EXPECT_EQ(hops_of(copy, 1, 2), (std::vector<NodeIndex>{2}));
+  RoutingTable moved = std::move(copy);
+  EXPECT_EQ(moved.node_count(), 3u);
+  EXPECT_EQ(hops_of(moved, 0, 2), (std::vector<NodeIndex>{2, 1}));
+  RoutingTable assigned;
+  assigned = moved;
+  EXPECT_EQ(hops_of(assigned, 1, 2), (std::vector<NodeIndex>{2}));
+  assigned = std::move(t);
+  EXPECT_EQ(hops_of(assigned, 0, 2), (std::vector<NodeIndex>{1}));
+}
+
+// --- equivalence with the nested-vector / map-indexed reference --------------
+
+void expect_same_hops(const RoutingTable& flat,
+                      const testref::ReferenceRoutingTable& ref,
+                      const std::string& label) {
+  ASSERT_EQ(flat.node_count(), ref.node_count()) << label;
+  const auto n = static_cast<NodeIndex>(flat.node_count());
+  for (NodeIndex at = 0; at < n; ++at)
+    for (NodeIndex dst = 0; dst < n; ++dst)
+      ASSERT_EQ(hops_of(flat, at, dst), ref.next_hops(at, dst))
+          << label << ": at " << at << " dst " << dst;
+}
+
+/// Same vertex numbering, same edge order, same witness. Returns whether
+/// the closure has a CBD.
+bool expect_same_graph(const Topology& t, const RoutingTable& routing,
+                       const std::string& label) {
+  BufferDependencyGraph g(t);
+  g.add_routing_closure(routing);
+  testref::ReferenceBdg ref(t);
+  ref.add_routing_closure(testref::ReferenceRoutingTable::copy_of(routing));
+  EXPECT_EQ(g.links(), ref.links()) << label;
+  EXPECT_EQ(g.adjacency(), ref.adjacency()) << label;
+  const CbdResult a = g.find_cycle();
+  const CbdResult b = ref.find_cycle();
+  EXPECT_EQ(a.has_cbd, b.has_cbd) << label;
+  EXPECT_EQ(a.cycle, b.cycle) << label;
+  EXPECT_EQ(cbd_prone(t, routing), b.has_cbd) << label;
+  return b.has_cbd;
+}
+
+TEST(ReferenceEquivalence, RingTables) {
+  for (int n = 3; n <= 5; ++n) {
+    Topology t;
+    const RingInfo info = build_ring(t, n);
+    const std::string label = "ring:" + std::to_string(n);
+    expect_same_hops(compute_shortest_paths(t),
+                     testref::reference_shortest_paths(t), label);
+    expect_same_graph(t, compute_shortest_paths(t), label + " spf");
+    EXPECT_TRUE(expect_same_graph(t, ring_clockwise_routes(t, info),
+                                  label + " clockwise"));
+  }
+}
+
+TEST(ReferenceEquivalence, Loop2Table) {
+  analyze::BuiltScenario sc;
+  std::string err;
+  ASSERT_TRUE(analyze::build_scenario("loop2", &sc, &err)) << err;
+  EXPECT_TRUE(expect_same_graph(sc.topo, sc.routing, "loop2"));
+}
+
+TEST(ReferenceEquivalence, FailedFatTrees) {
+  // k=4 at two failure rates and k=8 at one, each seeded; shortest-path
+  // and up*/down* tables on every one. Some must be CBD-prone, or the
+  // witness comparison would only ever see empty cycles.
+  struct Case {
+    int k;
+    double p;
+    std::uint64_t seeds;
+  };
+  int prone = 0;
+  for (const Case c : {Case{4, 0.05, 16}, Case{4, 0.15, 16}, Case{8, 0.05, 4}}) {
+    Topology t;
+    build_fattree(t, c.k);
+    for (std::uint64_t seed = 1; seed <= c.seeds; ++seed) {
+      t.restore_all();
+      sim::Rng rng(seed);
+      random_failures(t, rng, c.p);
+      const std::string label = "fattree:" + std::to_string(c.k) +
+                                " p=" + std::to_string(c.p) +
+                                " seed=" + std::to_string(seed);
+      const RoutingTable spf = compute_shortest_paths(t);
+      expect_same_hops(spf, testref::reference_shortest_paths(t), label);
+      if (expect_same_graph(t, spf, label + " spf")) ++prone;
+      EXPECT_FALSE(expect_same_graph(t, mech::cbd_free_routes(t, nullptr),
+                                     label + " up*/down*"));
+    }
+  }
+  EXPECT_GT(prone, 0);
+}
+
+TEST(ReferenceEquivalence, TracedPaths) {
+  // add_path numbers vertices and orders edges as the reference does.
+  Topology t;
+  const FatTreeInfo ft = build_fattree(t, 4);
+  sim::Rng rng(7);
+  random_failures(t, rng, 0.15);
+  const RoutingTable routing = compute_shortest_paths(t);
+  BufferDependencyGraph g(t);
+  testref::ReferenceBdg ref(t);
+  for (std::size_t i = 0; i < ft.hosts.size(); ++i)
+    for (std::uint64_t salt = 0; salt < 4; ++salt) {
+      const auto path = routing.trace(
+          ft.hosts[i], ft.hosts[(i * 5 + salt + 3) % ft.hosts.size()], salt);
+      g.add_path(path);
+      ref.add_path(path);
+    }
+  EXPECT_EQ(g.links(), ref.links());
+  EXPECT_EQ(g.adjacency(), ref.adjacency());
+  EXPECT_EQ(g.find_cycle().cycle, ref.find_cycle().cycle);
 }
 
 }  // namespace
