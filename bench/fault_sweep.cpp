@@ -236,9 +236,9 @@ exp::TrialResult run_flap_trial(const MechSpec& m, std::uint64_t base,
                                 const std::string& trial_name) {
   ScenarioConfig cfg = config_for(m, base);
   cfg.trace = cli.trace_options();
-  // Soundness oracle: keep the incremental re-analysis live across the
-  // flap's reroutes and cross-check any runtime deadlock witness against
-  // the static enumeration (a miss throws and fails the trial).
+  // Soundness oracle: re-analyze on each of the flap's reroutes and
+  // cross-check any runtime deadlock witness against the static
+  // enumeration (a miss throws and fails the trial).
   cfg.witness_check = true;
   FatTreeScenario s = make_fattree(cfg, 4);
   const auto switch_links = s.topo.switch_links();

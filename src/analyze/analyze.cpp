@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analyze/cycles.hpp"
-#include "analyze/detail.hpp"
 #include "net/packet.hpp"
 
 namespace gfc::analyze {
@@ -67,12 +66,12 @@ std::vector<DirectedLink> switch_hops(const topo::Topology& topo,
   return hops;
 }
 
-/// Per-cycle metadata over an already-canonical link-form cycle list:
-/// names, flow coverage, activation — everything downstream of the graph
-/// construction the incremental path shortcuts.
-void fill_cycle_infos(const Input& in, detail::LinkCycles cycles,
-                      Report* rep) {
-  rep->truncated = cycles.truncated;
+/// Per-cycle metadata over the enumeration, each cycle lifted to its
+/// canonical link sequence (topo::canonicalize_cycle form): names, flow
+/// coverage, activation.
+void fill_cycle_infos(const Input& in, const std::vector<DirectedLink>& links,
+                      const CycleEnumeration& enumeration, Report* rep) {
+  rep->truncated = enumeration.truncated;
 
   // Dependency edges each configured flow induces along its traced path.
   std::vector<std::vector<std::pair<DirectedLink, DirectedLink>>> flow_edges;
@@ -85,9 +84,11 @@ void fill_cycle_infos(const Input& in, detail::LinkCycles cycles,
     flow_edges.push_back(std::move(edges));
   }
 
-  for (auto& cyc : cycles.cycles) {
+  for (const auto& cyc : enumeration.cycles) {
     CycleInfo info;
-    info.links = std::move(cyc);
+    for (const int v : cyc)
+      info.links.push_back(links[static_cast<std::size_t>(v)]);
+    topo::canonicalize_cycle(&info.links);
     for (const auto& [from, to] : info.links)
       info.link_names.push_back(in.topo->node(from).name + "->" +
                                 in.topo->node(to).name);
@@ -301,24 +302,13 @@ void lint_routing(const Input& in, Report* rep) {
 
 }  // namespace
 
-namespace detail {
+Report analyze(const Input& in) {
+  topo::BufferDependencyGraph graph(*in.topo);
+  graph.add_routing_closure(*in.routing);
+  const std::vector<DirectedLink>& links = graph.links();
+  const Adjacency& adj = graph.adjacency();
+  const CycleEnumeration enumeration = elementary_cycles(adj, in.max_cycles);
 
-LinkCycles to_link_cycles(const std::vector<DirectedLink>& links,
-                          const CycleEnumeration& enumeration) {
-  LinkCycles out;
-  out.truncated = enumeration.truncated;
-  for (const auto& cyc : enumeration.cycles) {
-    std::vector<DirectedLink> cycle;
-    for (const int v : cyc) cycle.push_back(links[static_cast<std::size_t>(v)]);
-    topo::canonicalize_cycle(&cycle);
-    out.cycles.push_back(std::move(cycle));
-  }
-  return out;
-}
-
-Report finish_report(const Input& in, const std::vector<DirectedLink>& links,
-                     const std::vector<std::vector<int>>& adj,
-                     LinkCycles cycles) {
   Report rep;
   rep.scenario = in.scenario;
   rep.mechanism_kind = in.cfg.fc.kind;
@@ -348,30 +338,23 @@ Report finish_report(const Input& in, const std::vector<DirectedLink>& links,
     if (cyclic) ++rep.cyclic_sccs;
   }
 
-  if (cycles.truncated) {
+  if (enumeration.truncated) {
     const std::string label =
         in.scenario.empty() ? std::string() : in.scenario + ": ";
     std::fprintf(stderr,
                  "analyze: %scycle enumeration truncated at %zu cycles; "
                  "verdict degraded to at_risk\n",
                  label.c_str(), in.max_cycles);
+    for (std::size_t v = 0; v < adj.size(); ++v)
+      for (const int w : adj[v])
+        rep.dependency_edges.push_back(
+            {links[v], links[static_cast<std::size_t>(w)]});
+    std::sort(rep.dependency_edges.begin(), rep.dependency_edges.end());
   }
-  fill_cycle_infos(in, std::move(cycles), &rep);
+  fill_cycle_infos(in, links, enumeration, &rep);
   check_bounds(in, &rep);
   lint_routing(in, &rep);
   return rep;
-}
-
-}  // namespace detail
-
-Report analyze(const Input& in) {
-  topo::BufferDependencyGraph graph(*in.topo);
-  graph.add_routing_closure(*in.routing);
-  const CycleEnumeration enumeration =
-      elementary_cycles(graph.adjacency(), in.max_cycles);
-  return detail::finish_report(
-      in, graph.links(), graph.adjacency(),
-      detail::to_link_cycles(graph.links(), enumeration));
 }
 
 bool report_contains_cycle(const Report& rep,
@@ -379,6 +362,17 @@ bool report_contains_cycle(const Report& rep,
   return std::any_of(
       rep.cycles.begin(), rep.cycles.end(),
       [&](const CycleInfo& info) { return info.links == cycle; });
+}
+
+bool report_has_dependency_edges(const Report& rep,
+                                 const std::vector<topo::DirectedLink>& cycle) {
+  const std::size_t n = cycle.size();
+  for (std::size_t i = 0; i < n; ++i)
+    if (!std::binary_search(rep.dependency_edges.begin(),
+                            rep.dependency_edges.end(),
+                            std::make_pair(cycle[i], cycle[(i + 1) % n])))
+      return false;
+  return true;
 }
 
 CbdScreen screen_cbd(const topo::Topology& topo,

@@ -31,6 +31,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/mode.hpp"
@@ -168,6 +169,12 @@ struct Report {
   std::size_t cyclic_sccs = 0;
   bool truncated = false;  // enumeration hit Input::max_cycles
   std::vector<CycleInfo> cycles;
+  /// Every dependency edge (from-link, to-link), sorted; kept only when
+  /// the enumeration truncated, so a runtime witness can still be checked
+  /// hop by hop against the graph (see report_has_dependency_edges). Not
+  /// part of the JSON.
+  std::vector<std::pair<topo::DirectedLink, topo::DirectedLink>>
+      dependency_edges;
 
   std::vector<BoundCheck> bounds;
   std::vector<LintFinding> lints;
@@ -203,6 +210,14 @@ Report analyze(const Input& in);
 bool report_contains_cycle(const Report& rep,
                            const std::vector<topo::DirectedLink>& cycle);
 
+/// Is every hop of `cycle` (each link to the next, the last back to the
+/// first) an edge of the report's buffer-dependency graph? The witness
+/// cross-check for a truncated report, whose cycle list is only a prefix:
+/// reads Report::dependency_edges, so always false on an untruncated
+/// report with a non-empty cycle.
+bool report_has_dependency_edges(const Report& rep,
+                                 const std::vector<topo::DirectedLink>& cycle);
+
 /// Cheap CBD-prone screening over the full ECMP routing closure — the
 /// pre-filter large topology sweeps (paper-scale Table 1) run per sample
 /// before deciding whether to spend a simulation on it. One witness-cycle
@@ -229,7 +244,7 @@ class PreflightError : public std::runtime_error {
 };
 
 /// The verdict-and-side-effect half of preflight(), for callers that
-/// already hold a Report (the incremental analyzer in Fabric): print the
+/// already hold a Report (Fabric::install_routing): print the
 /// summary to stderr when the verdict isn't clean, throw PreflightError
 /// on kAtRisk under kFail, return the verdict. Prints nothing and never
 /// throws under kOff.

@@ -149,11 +149,16 @@ CycleEnumeration elementary_cycles(const Adjacency& adj,
   const int n = static_cast<int>(adj.size());
   int s = 0;
   while (s < n && !out.truncated) {
-    // SCCs of the subgraph induced by vertices >= s.
-    Adjacency sub(adj.size());
-    for (int v = s; v < n; ++v)
-      for (const int w : adj[static_cast<std::size_t>(v)])
-        if (w >= s) sub[static_cast<std::size_t>(v)].push_back(w);
+    // SCCs of the subgraph induced by vertices >= s. Every vertex is >= 0,
+    // so the first pass runs on adj itself.
+    Adjacency induced;
+    if (s > 0) {
+      induced.resize(adj.size());
+      for (int v = s; v < n; ++v)
+        for (const int w : adj[static_cast<std::size_t>(v)])
+          if (w >= s) induced[static_cast<std::size_t>(v)].push_back(w);
+    }
+    const Adjacency& sub = s == 0 ? adj : induced;
     const auto comps = strongly_connected_components(sub);
 
     // The least vertex that sits in a component containing a cycle (size

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "analyze/incremental.hpp"
 #include "topo/routing.hpp"
 
 namespace gfc::analyze {
@@ -53,8 +52,6 @@ Report sweep_failures(const Input& in, int max_failures) {
   topo::Topology scratch = orig;
   Input combo_in = in;
   combo_in.topo = &scratch;
-  combo_in.routing = nullptr;
-  IncrementalAnalyzer inc(combo_in);
 
   // Link set -> result index, for the minimal-culprit subset checks.
   std::map<std::vector<topo::LinkIndex>, std::size_t> by_links;
@@ -68,7 +65,8 @@ Report sweep_failures(const Input& in, int max_failures) {
                                orig.node(orig.link(l).b).name);
     }
     const topo::RoutingTable routing = topo::compute_shortest_paths(scratch);
-    const Report& rep = inc.update(routing);
+    combo_in.routing = &routing;
+    const Report rep = analyze(combo_in);
     res.verdict = rep.verdict();
     res.cycle_count = rep.cycles.size();
     res.truncated = rep.truncated;

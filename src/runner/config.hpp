@@ -268,11 +268,11 @@ struct ScenarioConfig {
   /// Static pre-flight analysis (src/analyze/), run when a Fabric installs
   /// its routing: kWarn reports deadlock risks on stderr, kFail throws
   /// analyze::PreflightError on an at-risk verdict. Off by default.
-  /// Re-installs (mid-run reroutes after link flaps) re-analyze
-  /// incrementally and re-issue the verdict — see Fabric::analysis().
+  /// Re-installs (mid-run reroutes after link flaps) re-analyze from
+  /// scratch and re-issue the verdict — see Fabric::analysis().
   analyze::PreflightMode preflight = analyze::PreflightMode::kOff;
 
-  /// Soundness oracle: keep the incremental analyzer's report current even
+  /// Soundness oracle: keep the fabric's analysis report current even
   /// under PreflightMode::kOff (no stderr, no throw) so the runner can
   /// cross-validate every runtime deadlock witness cycle against the
   /// static enumeration (runner::check_witness_cycle). Off by default.

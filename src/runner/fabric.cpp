@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstdio>
 
-#include "analyze/analyze.hpp"
-#include "analyze/incremental.hpp"
 #include "core/gfc_buffer.hpp"
 #include "core/gfc_conceptual.hpp"
 #include "core/gfc_time.hpp"
@@ -80,12 +78,7 @@ Fabric::Fabric(const topo::Topology& topo, const ScenarioConfig& cfg)
   for (std::size_t l = 0; l < topo.link_count(); ++l) {
     const auto& link = topo.link(static_cast<topo::LinkIndex>(l));
     if (!link.up) continue;
-    const auto [pa, pb] =
-        net_.connect(link.a, link.b, cfg.link.rate, cfg.link.prop_delay);
-    port_map_[{link.a, link.b}] = pa;
-    port_map_[{link.b, link.a}] = pb;
-    peer_map_[{link.a, pa}] = link.b;
-    peer_map_[{link.b, pb}] = link.a;
+    net_.connect(link.a, link.b, cfg.link.rate, cfg.link.prop_delay);
   }
   // Parallel core: attach before flow control so every FC timer lands on
   // its owner's shard scheduler with a globally-sequenced key. Faults and
@@ -168,36 +161,40 @@ trace::NodeNameFn Fabric::node_name_fn() {
 }
 
 int Fabric::port_to(topo::NodeIndex from, topo::NodeIndex to) const {
-  const auto it = port_map_.find({from, to});
-  return it == port_map_.end() ? -1 : it->second;
+  // The network's wiring, scanned from the last port: connect() numbers a
+  // node's ports in link order, so of parallel links the last one wins.
+  const net::Node& n = net_.node(from);
+  for (int p = n.port_count() - 1; p >= 0; --p)
+    if (n.peer(p).node == to) return p;
+  return -1;
 }
 
 topo::NodeIndex Fabric::peer_of(topo::NodeIndex node, int port) const {
-  const auto it = peer_map_.find({node, port});
-  return it == peer_map_.end() ? -1 : it->second;
+  if (node < 0 || static_cast<std::size_t>(node) >= net_.node_count())
+    return -1;
+  const net::Node& n = net_.node(node);
+  if (port < 0 || port >= n.port_count()) return -1;
+  return n.peer(port).node;
 }
 
 const analyze::Report* Fabric::analysis() const {
-  return analyzer_ ? &analyzer_->report() : nullptr;
+  return analysis_ ? &*analysis_ : nullptr;
 }
 
 void Fabric::install_routing(const topo::Topology& topo,
                              const topo::RoutingTable& routing) {
   // Pre-flight: the one spot where topology, routing and flow-control
-  // parameters are all known before the new routes take effect. The
-  // analyzer is incremental, so a mid-run reroute after a link flap
-  // re-verdicts at delta cost; kFail throws analyze::PreflightError on an
-  // at-risk verdict (campaign worker pools record it as the trial's
-  // failure) — including flap-induced regressions mid-run.
+  // parameters are all known before the new routes take effect. Every
+  // install, a mid-run reroute after a link flap included, re-analyzes
+  // from scratch; kFail throws analyze::PreflightError on an at-risk
+  // verdict (campaign worker pools record it as the trial's failure) —
+  // including flap-induced regressions mid-run.
   if (cfg_.preflight != analyze::PreflightMode::kOff || cfg_.witness_check) {
-    if (!analyzer_ || analyzed_topo_ != &topo) {
-      analyze::Input in;
-      in.topo = &topo;
-      in.cfg = cfg_;
-      analyzer_ = std::make_unique<analyze::IncrementalAnalyzer>(in);
-      analyzed_topo_ = &topo;
-    }
-    const analyze::Report& rep = analyzer_->update(routing);
+    analyze::Input in;
+    in.topo = &topo;
+    in.routing = &routing;
+    in.cfg = cfg_;
+    const analyze::Report& rep = analysis_.emplace(analyze::analyze(in));
     const int ordinal = reverdicts_++;
     if (tracer_)
       tracer_->record(trace::EventType::kAnalyzeVerdict, net_.sched().now(),

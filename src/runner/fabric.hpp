@@ -3,9 +3,10 @@
 // net::NodeId values coincide by construction.
 #pragma once
 
-#include <map>
 #include <memory>
+#include <optional>
 
+#include "analyze/analyze.hpp"
 #include "exp/progress.hpp"
 #include "fault/fault.hpp"
 #include "net/network.hpp"
@@ -18,11 +19,6 @@
 namespace gfc::par {
 class Engine;
 }
-
-namespace gfc::analyze {
-class IncrementalAnalyzer;
-struct Report;
-}  // namespace gfc::analyze
 
 namespace gfc::runner {
 
@@ -41,7 +37,8 @@ class Fabric {
   net::HostNode& host(topo::NodeIndex i) { return *net_.host(i); }
   net::SwitchNode& sw(topo::NodeIndex i) { return *net_.sw(i); }
 
-  /// Port index on `from` of the (up) link toward `to`; -1 if absent.
+  /// Port index on `from` of the link toward `to`; -1 if absent. With
+  /// parallel links (the 2-switch ring) the last one wired wins.
   int port_to(topo::NodeIndex from, topo::NodeIndex to) const;
 
   /// Inverse of port_to: the node `node`'s `port` leads to; -1 if absent.
@@ -94,15 +91,8 @@ class Fabric {
   net::Network net_;
   /// Declared after net_: the plan unhooks itself before the network dies.
   std::unique_ptr<fault::FaultPlan> fault_plan_;
-  std::map<std::pair<topo::NodeIndex, topo::NodeIndex>, int> port_map_;
-  /// (node, port) -> neighbor: port_map_ inverted, for witness mapping.
-  std::map<std::pair<topo::NodeIndex, int>, topo::NodeIndex> peer_map_;
-  /// Fault-aware incremental re-analysis (see src/analyze/incremental.hpp):
-  /// created lazily by the first install_routing that wants a verdict, fed
-  /// a fresh report on every reroute. The analyzed topology must outlive
-  /// the fabric (scenario runners keep it on their RunContext).
-  std::unique_ptr<analyze::IncrementalAnalyzer> analyzer_;
-  const topo::Topology* analyzed_topo_ = nullptr;
+  /// The last install_routing's from-scratch analysis (see analysis()).
+  std::optional<analyze::Report> analysis_;
   int reverdicts_ = 0;
   /// Declared last: the engine joins its workers and restores the
   /// single-threaded wiring before anything else tears down.

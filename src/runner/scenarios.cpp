@@ -92,7 +92,7 @@ std::string describe_cycle(const stats::DeadlockDetector& det,
 
 bool check_witness_cycle(Fabric& fabric, const stats::DeadlockDetector& det) {
   const analyze::Report* rep = fabric.analysis();
-  if (rep == nullptr || det.cycle().empty() || rep->truncated) return false;
+  if (rep == nullptr || det.cycle().empty()) return false;
   // Each witness hop (node, egress port) is the directed link node ->
   // peer(node, port); the detector's wait-for edges guarantee the peer is
   // the next hop's node, so the mapped links close into a cycle.
@@ -103,6 +103,19 @@ bool check_witness_cycle(Fabric& fabric, const stats::DeadlockDetector& det) {
     links.push_back({static_cast<topo::NodeIndex>(nid), peer});
   }
   topo::canonicalize_cycle(&links);
+  if (rep->truncated) {
+    // The enumeration is only a prefix of the cycle set, so membership
+    // proves nothing; every hop of a real circular wait must still be a
+    // dependency edge of the graph.
+    if (!analyze::report_has_dependency_edges(*rep, links))
+      throw std::runtime_error(
+          "witness cross-check failed: runtime deadlock cycle [" +
+          describe_cycle(det, fabric.net()) +
+          "] uses a dependency edge missing from the static graph (" +
+          std::to_string(rep->dependency_edges.size()) +
+          " edges) — the analyzer is unsound for this topology/routing");
+    return true;
+  }
   if (!analyze::report_contains_cycle(*rep, links))
     throw std::runtime_error(
         "witness cross-check failed: runtime deadlock cycle [" +

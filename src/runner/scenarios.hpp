@@ -122,13 +122,14 @@ std::string describe_cycle(const stats::DeadlockDetector& det,
 
 /// Soundness oracle: map the detector's witness cycle — (node, egress
 /// port) pairs — to directed topology links, canonicalize, and require
-/// membership in the fabric's current static cycle enumeration. Returns
-/// true when the check ran and passed; false when it was skipped (no
-/// analysis attached, empty witness, truncated enumeration — membership
-/// in a prefix proves nothing — or a hop that isn't switch-to-switch).
-/// Throws std::runtime_error when the cycle is missing: a runtime
-/// deadlock the static analyzer failed to predict means the analyzer is
-/// unsound, and that must never pass silently.
+/// membership in the fabric's current static cycle enumeration. When the
+/// enumeration truncated (membership in a prefix proves nothing), require
+/// instead that every hop of the cycle is an edge of the dependency graph.
+/// Returns true when the check ran and passed; false when it was skipped
+/// (no analysis attached, empty witness, or a hop that isn't
+/// switch-to-switch). Throws std::runtime_error when the check fails: a
+/// runtime deadlock the static analyzer failed to predict means the
+/// analyzer is unsound, and that must never pass silently.
 bool check_witness_cycle(Fabric& fabric, const stats::DeadlockDetector& det);
 
 }  // namespace gfc::runner

@@ -45,58 +45,46 @@ void BufferDependencyGraph::add_path(const std::vector<NodeIndex>& path) {
   }
 }
 
-void destination_closure_ops(const Topology& topo, const RoutingTable& routing,
-                             NodeIndex dst, std::vector<ClosureOp>* ops) {
+void BufferDependencyGraph::add_routing_closure(const RoutingTable& routing) {
   // Only switches actually reachable from some source host along the ECMP
   // DAG contribute dependencies: a next-hop table entry no packet can
   // arrive at (common after failures, when a switch keeps a bounce route
   // toward d but nothing routes *through* it toward d) must not fabricate
   // cycles. Hosts and switches are visited in node order, which is the
-  // order of hosts() and switches().
+  // order of hosts() and switches(); that order fixes vertex numbering and
+  // edge insertion order.
+  const Topology& topo = *topo_;
   const auto n = static_cast<NodeIndex>(topo.node_count());
-  ops->clear();
   std::vector<char> reachable(topo.node_count());
   std::vector<NodeIndex> frontier;
-  const auto reach = [&](NodeIndex from) {
-    for (NodeIndex v : routing.next_hops(from, dst)) {
-      if (!topo.is_host(v) && !reachable[static_cast<std::size_t>(v)]) {
-        reachable[static_cast<std::size_t>(v)] = 1;
-        frontier.push_back(v);
+  for (NodeIndex dst : topo.hosts()) {
+    std::fill(reachable.begin(), reachable.end(), 0);
+    const auto reach = [&](NodeIndex from) {
+      for (NodeIndex v : routing.next_hops(from, dst)) {
+        if (!topo.is_host(v) && !reachable[static_cast<std::size_t>(v)]) {
+          reachable[static_cast<std::size_t>(v)] = 1;
+          frontier.push_back(v);
+        }
+      }
+    };
+    for (NodeIndex s = 0; s < n; ++s)
+      if (s != dst && topo.is_host(s)) reach(s);
+    while (!frontier.empty()) {
+      const NodeIndex v = frontier.back();
+      frontier.pop_back();
+      reach(v);
+    }
+    for (NodeIndex s = 0; s < n; ++s) {
+      if (!reachable[static_cast<std::size_t>(s)]) continue;
+      for (NodeIndex v : routing.next_hops(s, dst)) {
+        if (topo.is_host(v)) continue;
+        const int a = vertex({s, v});
+        for (NodeIndex m : routing.next_hops(v, dst)) {
+          if (topo.is_host(m)) continue;
+          add_edge(a, vertex({v, m}));
+        }
       }
     }
-  };
-  for (NodeIndex s = 0; s < n; ++s)
-    if (s != dst && topo.is_host(s)) reach(s);
-  while (!frontier.empty()) {
-    const NodeIndex v = frontier.back();
-    frontier.pop_back();
-    reach(v);
-  }
-  for (NodeIndex s = 0; s < n; ++s) {
-    if (!reachable[static_cast<std::size_t>(s)]) continue;
-    for (NodeIndex v : routing.next_hops(s, dst)) {
-      if (topo.is_host(v)) continue;
-      ops->push_back({{s, v}, {}, false});
-      for (NodeIndex m : routing.next_hops(v, dst)) {
-        if (topo.is_host(m)) continue;
-        ops->push_back({{s, v}, {v, m}, true});
-      }
-    }
-  }
-}
-
-void BufferDependencyGraph::apply_ops(const std::vector<ClosureOp>& ops) {
-  for (const ClosureOp& op : ops) {
-    const int a = vertex(op.a);
-    if (op.edge) add_edge(a, vertex(op.b));
-  }
-}
-
-void BufferDependencyGraph::add_routing_closure(const RoutingTable& routing) {
-  std::vector<ClosureOp> ops;
-  for (NodeIndex dst : topo_->hosts()) {
-    destination_closure_ops(*topo_, routing, dst, &ops);
-    apply_ops(ops);
   }
 }
 

@@ -26,18 +26,6 @@ struct CbdResult {
   std::vector<DirectedLink> cycle;
 };
 
-/// One step of a destination's routing-closure construction: ensure the
-/// vertex for `a` exists; when `edge` is set, also ensure `b`'s vertex and
-/// append the (deduplicated) dependency edge a -> b. Replaying a
-/// destination's op sequence performs exactly the vertex creations and
-/// edge appends add_routing_closure would — in the same order — which is
-/// the contract the incremental analyzer's byte-identity rests on.
-struct ClosureOp {
-  DirectedLink a;
-  DirectedLink b;
-  bool edge = false;
-};
-
 class BufferDependencyGraph {
  public:
   /// Sizes the dense vertex index for the topology's switches; switches
@@ -49,14 +37,10 @@ class BufferDependencyGraph {
 
   /// Add dependencies for *every* ECMP option toward *every* host: the
   /// union routing closure. A cycle here means the scenario is CBD-prone
-  /// (the pre-filter used for Table 1). Replays destination_closure_ops()
-  /// for every host in hosts() order, through one reused op buffer.
+  /// (the pre-filter used for Table 1). Destinations are taken in hosts()
+  /// order; toward each, only switches some source host can reach along
+  /// the ECMP next-hop graph contribute, in node order.
   void add_routing_closure(const RoutingTable& routing);
-
-  /// Replay a recorded op sequence (see ClosureOp). Idempotent per op:
-  /// existing vertices and edges are reused, so mixing replay with
-  /// add_path/add_routing_closure is safe.
-  void apply_ops(const std::vector<ClosureOp>& ops);
 
   /// One witness cycle, deterministically selected: a DFS in ascending
   /// vertex order (vertices are numbered by first insertion, itself a
@@ -89,16 +73,6 @@ class BufferDependencyGraph {
   std::vector<DirectedLink> vertices_;
   std::vector<std::vector<int>> edges_;
 };
-
-/// The op sequence add_routing_closure performs for one destination host,
-/// in execution order, written over `*ops` (its capacity is reused). A
-/// pure function of the topology's static structure (host/switch
-/// partition) and the routing column toward `dst`: two calls with equal
-/// columns produce equal sequences, which is what lets the incremental
-/// analyzer cache per-destination ops and replay them unchanged after
-/// unrelated link flaps.
-void destination_closure_ops(const Topology& topo, const RoutingTable& routing,
-                             NodeIndex dst, std::vector<ClosureOp>* ops);
 
 /// Rotate a cycle of directed links so the smallest link (lexicographic
 /// (from, to) order) comes first. The canonical form every witness and

@@ -72,7 +72,7 @@ enum class EventType : std::uint8_t {
   kTriggerPropagate,  // upstream trigger forwarded (value = origin node)
   kTriggerReturn,     // own trigger came back: deadlock (value = latency ps)
   kMechBreak,         // break action taken (value = packets dropped; 0=bypass)
-  // kCatAnalyze (incremental re-analysis, src/analyze/incremental.*)
+  // kCatAnalyze (re-analysis on every routing install, runner/fabric.cpp)
   kAnalyzeVerdict,  // verdict after a routing install (id = re-verdict
                     // ordinal, value = analyze::Verdict enum value)
 

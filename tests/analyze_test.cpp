@@ -2,7 +2,9 @@
 // structural properties of the enumerated cycles (simple, chained, closed,
 // edges real), canonical-witness determinism, verdict semantics, the
 // --analyze pre-flight hook, and the load-bearing cross-validation: the
-// static verdict must agree with what the simulator actually does.
+// static verdict must agree with what the simulator actually does. Also
+// the runtime witness oracle, the Fabric re-verdict plumbing, the
+// k-failure sweep's culprit semantics and repair verification.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -345,6 +347,356 @@ TEST(AnalyzeXval, ActivatedCycleDeadlocksUnderPfcNotUnderGfc) {
     else
       EXPECT_FALSE(det.deadlocked()) << "GFC bound must prevent the stall";
   }
+}
+
+
+// --- Witness-cycle membership properties (ring / loop2 / fattree): a
+// runtime witness walks the cycle starting at an arbitrary hop, so every
+// rotation of every enumerated cycle must canonicalize back to a member,
+// and corrupted cycles must not.
+
+void check_rotation_membership(const std::string& spec) {
+  SCOPED_TRACE(spec);
+  BuiltScenario sc;
+  std::string err;
+  ASSERT_TRUE(build_scenario(spec, &sc, &err)) << err;
+  Input in;
+  in.topo = &sc.topo;
+  in.routing = &sc.routing;
+  in.cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  in.scenario = sc.name;
+  const Report r = analyze(in);
+  ASSERT_FALSE(r.cycles.empty());
+  for (const CycleInfo& c : r.cycles) {
+    for (std::size_t off = 0; off < c.links.size(); ++off) {
+      std::vector<topo::DirectedLink> rotated(c.links.begin() + off,
+                                              c.links.end());
+      rotated.insert(rotated.end(), c.links.begin(), c.links.begin() + off);
+      topo::canonicalize_cycle(&rotated);
+      EXPECT_TRUE(report_contains_cycle(r, rotated));
+    }
+    // A corrupted witness (one hop replaced by a bogus link) is rejected.
+    std::vector<topo::DirectedLink> bogus = c.links;
+    bogus.back() = {999, 998};
+    topo::canonicalize_cycle(&bogus);
+    EXPECT_FALSE(report_contains_cycle(r, bogus));
+  }
+}
+
+TEST(WitnessOracle, RotationsOfEveryCycleAreMembers) {
+  check_rotation_membership("ring:3:2");
+  check_rotation_membership("ring:6:3");
+  check_rotation_membership("loop2");
+  check_rotation_membership("fattree:4:seed=22");
+}
+
+TEST(WitnessOracle, RingRuntimeWitnessIsInStaticEnumeration) {
+  // The ring deadlocks organically under PFC; the detector's witness
+  // cycle must map onto the static enumeration (check_witness_cycle
+  // throws the run away otherwise).
+  runner::ScenarioConfig cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  cfg.witness_check = true;
+  runner::RingScenario s = runner::make_ring(cfg, 3, 2);
+  net::Network& net = s.fabric->net();
+  stats::DeadlockOptions dl_opts;
+  dl_opts.stop_on_detect = true;
+  int checked = 0;
+  dl_opts.on_detect = [&s, &checked](stats::DeadlockDetector& det) {
+    if (runner::check_witness_cycle(*s.fabric, det)) ++checked;
+  };
+  stats::DeadlockDetector det(net, dl_opts);
+  net.run_until(sim::ms(8));
+  ASSERT_TRUE(det.deadlocked());
+  EXPECT_EQ(checked, 1);
+  EXPECT_EQ(s.fabric->analysis_reverdicts(), 1);
+}
+
+TEST(WitnessOracle, FatTreeStressWitnessIsInStaticEnumeration) {
+  // The Table-1 seed-22 stress probe realizes a fat-tree CBD at runtime;
+  // the cross-check must find its canonical cycle in the (post-failure)
+  // static enumeration.
+  topo::Topology t;
+  topo::build_fattree(t, 4);
+  sim::Rng rng(22 * 7919 + 4);
+  const auto failed = topo::random_failures(t, rng, 0.05);
+  const auto routing = topo::compute_shortest_paths(t);
+  topo::BufferDependencyGraph g(t);
+  g.add_routing_closure(routing);
+  const auto cbd = g.find_cycle();
+  ASSERT_TRUE(cbd.has_cbd);
+  auto stress = topo::build_cbd_stress(t, routing, cbd.cycle, rng);
+  ASSERT_TRUE(stress.covered);
+
+  runner::ScenarioConfig cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  cfg.witness_check = true;
+  auto sc = runner::make_fattree(cfg, 4, failed);
+  net::Network& net = sc.fabric->net();
+  for (const auto& f : stress.flows) {
+    net::Flow& flow =
+        net.create_flow(f.src, f.dst, 0, net::Flow::kUnbounded, 0);
+    flow.path_salt = f.salt;
+  }
+  stats::DeadlockOptions dl_opts;
+  dl_opts.stop_on_detect = true;
+  int checked = 0;
+  dl_opts.on_detect = [&sc, &checked](stats::DeadlockDetector& det) {
+    EXPECT_TRUE(runner::check_witness_cycle(*sc.fabric, det));
+    ++checked;
+  };
+  stats::DeadlockDetector det(net, dl_opts);
+  net.run_until(sim::ms(8));
+  ASSERT_TRUE(det.deadlocked());
+  EXPECT_EQ(checked, 1);
+}
+
+TEST(WitnessOracle, SkipsWhenAnalysisIsOff) {
+  // No preflight, no witness_check: the fabric holds no analysis and the
+  // check reports "skipped", never a false positive.
+  runner::ScenarioConfig cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  runner::RingScenario s = runner::make_ring(cfg, 3, 2);
+  net::Network& net = s.fabric->net();
+  stats::DeadlockOptions dl_opts;
+  dl_opts.stop_on_detect = true;
+  stats::DeadlockDetector det(net, dl_opts);
+  net.run_until(sim::ms(8));
+  ASSERT_TRUE(det.deadlocked());
+  EXPECT_EQ(s.fabric->analysis(), nullptr);
+  EXPECT_FALSE(runner::check_witness_cycle(*s.fabric, det));
+}
+
+TEST(WitnessOracle, WiringLookupsFollowTheNetwork) {
+  // Witness hops are mapped through peer_of, routes through port_to. With
+  // parallel links (the 2-switch ring) port_to picks the last one wired.
+  topo::Topology t;
+  const topo::NodeIndex h0 = t.add_host("H0");
+  const topo::NodeIndex h1 = t.add_host("H1");
+  const topo::NodeIndex s0 = t.add_switch("S0");
+  const topo::NodeIndex s1 = t.add_switch("S1");
+  t.add_link(h0, s0);  // S0 port 0
+  t.add_link(s0, s1);  // S0 port 1, S1 port 0
+  t.add_link(s1, s0);  // S1 port 1, S0 port 2
+  t.add_link(h1, s1);  // S1 port 2
+  runner::Fabric fabric(t, cli_config(runner::FcKind::kPfc, 300'000));
+  EXPECT_EQ(fabric.port_to(s0, s1), 2);
+  EXPECT_EQ(fabric.port_to(s1, s0), 1);
+  EXPECT_EQ(fabric.port_to(s0, h0), 0);
+  EXPECT_EQ(fabric.port_to(s0, h1), -1);
+  EXPECT_EQ(fabric.peer_of(s0, 0), h0);
+  EXPECT_EQ(fabric.peer_of(s0, 1), s1);
+  EXPECT_EQ(fabric.peer_of(s1, 2), h1);
+  EXPECT_EQ(fabric.peer_of(s0, 3), -1);
+  EXPECT_EQ(fabric.peer_of(s0, -1), -1);
+}
+
+TEST(WitnessOracle, TruncatedReportKeepsItsDependencyEdges) {
+  // Only a truncated report keeps the graph's edges (sorted, outside the
+  // JSON); every enumerated cycle's hops are among them, a bogus hop isn't.
+  const auto cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  const Report full = analyze_spec("fattree:4:seed=12", cfg);
+  const Report r = analyze_spec("fattree:4:seed=12", cfg, 16);
+  ASSERT_TRUE(r.truncated);
+  EXPECT_EQ(r.dependency_edges.size(), r.bdg_edges);
+  EXPECT_TRUE(std::is_sorted(r.dependency_edges.begin(),
+                             r.dependency_edges.end()));
+  for (const CycleInfo& c : full.cycles) {
+    EXPECT_TRUE(report_has_dependency_edges(r, c.links));
+    std::vector<topo::DirectedLink> bogus = c.links;
+    bogus.back() = {999, 998};
+    EXPECT_FALSE(report_has_dependency_edges(r, bogus));
+  }
+  const Report ring = analyze_spec("ring:3:2", cfg);
+  EXPECT_FALSE(ring.truncated);
+  EXPECT_TRUE(ring.dependency_edges.empty());
+}
+
+TEST(WitnessOracle, TruncatedEnumerationChecksWitnessEdgeByEdge) {
+  // Table-1 seed 319: a stress-coverable k=4 fabric whose enumeration
+  // truncates at the default 4,096-cycle cap. The real witness must pass
+  // the edge-by-edge check; re-analyzing the fabric with one witness link
+  // failed (the graph then lacks a witness hop) must make it throw.
+  topo::Topology t;
+  topo::build_fattree(t, 4);
+  sim::Rng rng(319 * 7919 + 4);
+  const auto failed = topo::random_failures(t, rng, 0.05);
+  const auto routing = topo::compute_shortest_paths(t);
+  topo::BufferDependencyGraph g(t);
+  g.add_routing_closure(routing);
+  const auto cbd = g.find_cycle();
+  ASSERT_TRUE(cbd.has_cbd);
+  auto stress = topo::build_cbd_stress(t, routing, cbd.cycle, rng);
+  ASSERT_TRUE(stress.covered);
+
+  runner::ScenarioConfig cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  cfg.witness_check = true;
+  auto sc = runner::make_fattree(cfg, 4, failed);
+  ASSERT_TRUE(sc.fabric->analysis()->truncated);
+  net::Network& net = sc.fabric->net();
+  for (const auto& f : stress.flows) {
+    net::Flow& flow =
+        net.create_flow(f.src, f.dst, 0, net::Flow::kUnbounded, 0);
+    flow.path_salt = f.salt;
+  }
+  stats::DeadlockOptions dl_opts;
+  dl_opts.stop_on_detect = true;
+  stats::DeadlockDetector det(net, dl_opts);
+  net.run_until(sim::ms(8));
+  ASSERT_TRUE(det.deadlocked());
+  EXPECT_TRUE(runner::check_witness_cycle(*sc.fabric, det));
+
+  int corrupted = 0;
+  for (const auto& [nid, port] : det.cycle()) {
+    const topo::NodeIndex peer = sc.fabric->peer_of(nid, port);
+    for (const auto& [nbr, link] : sc.topo.neighbors(nid)) {
+      if (nbr != peer || !sc.topo.link(link).up) continue;
+      topo::Topology cut = sc.topo;
+      cut.fail_link(link);
+      const topo::RoutingTable rerouted = topo::compute_shortest_paths(cut);
+      sc.fabric->install_routing(cut, rerouted);
+      if (!sc.fabric->analysis()->truncated) continue;
+      ++corrupted;
+      try {
+        runner::check_witness_cycle(*sc.fabric, det);
+        ADD_FAILURE() << "witness over failed link " << nid << "-" << peer
+                      << " passed the edge check";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("missing from the static graph"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_GT(corrupted, 0) << "no witness link kept the enumeration truncated";
+}
+
+// --- Fabric re-verdict plumbing: a mid-run reroute re-analyzes, and the
+// fabric's report is the one analyze() gives for the new routing.
+
+TEST(AnalyzeRunner, ReinstallReverdictsAndMatchesFromScratch) {
+  runner::ScenarioConfig cfg = cli_config(runner::FcKind::kGfcBuffer, 300'000);
+  cfg.witness_check = true;
+  runner::FatTreeScenario s = runner::make_fattree(cfg, 4);
+  EXPECT_EQ(s.fabric->analysis_reverdicts(), 1);
+  ASSERT_NE(s.fabric->analysis(), nullptr);
+  EXPECT_EQ(s.fabric->analysis()->verdict(), Verdict::kDeadlockFree);
+
+  const auto links = s.topo.switch_links();
+  s.topo.fail_link(links[links.size() / 2]);
+  s.routing = topo::compute_shortest_paths(s.topo);
+  s.fabric->install_routing(s.topo, s.routing);
+  EXPECT_EQ(s.fabric->analysis_reverdicts(), 2);
+
+  Input in;
+  in.topo = &s.topo;
+  in.routing = &s.routing;
+  in.cfg = cfg;
+  EXPECT_EQ(s.fabric->analysis()->json(), analyze(in).json());
+}
+
+// --- The k-failure sweep.
+
+TEST(FailureSweepTest, RingCombosAreExhaustiveAndDeterministic) {
+  BuiltScenario sc;
+  std::string err;
+  ASSERT_TRUE(build_scenario("ring:3:2", &sc, &err)) << err;
+  Input in;
+  in.topo = &sc.topo;
+  in.routing = &sc.routing;
+  in.cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  in.scenario = sc.name;
+  const Report r = sweep_failures(in, 2);
+  ASSERT_TRUE(r.failure_sweep.has_value());
+  const FailureSweep& fs = *r.failure_sweep;
+  EXPECT_EQ(fs.max_failures, 2);
+  // 3 switch-switch links: C(3,1) + C(3,2) = 6 combos.
+  EXPECT_EQ(fs.combos, 6u);
+  EXPECT_EQ(fs.results.size(), 6u);
+  // Baseline is already at_risk: nothing can "flip" off it.
+  EXPECT_EQ(fs.baseline, Verdict::kAtRisk);
+  EXPECT_EQ(fs.flipped, 0u);
+  EXPECT_TRUE(fs.culprits.empty());
+  // Lexicographic by size then position, links ascending inside a combo.
+  for (std::size_t i = 1; i < fs.results.size(); ++i) {
+    const auto& a = fs.results[i - 1].links;
+    const auto& b = fs.results[i].links;
+    EXPECT_TRUE(a.size() < b.size() || (a.size() == b.size() && a < b));
+  }
+  // The whole report (v2 JSON section included) is byte-deterministic.
+  EXPECT_EQ(r.json(), sweep_failures(in, 2).json());
+}
+
+TEST(FailureSweepTest, FlipSemanticsOnDeadlockFreeBaseline) {
+  // Full fat-tree (SPF = up*/down* = no cycles): the baseline is
+  // deadlock_free, and each combo's `flips` must equal "verdict isn't".
+  topo::Topology t;
+  topo::build_fattree(t, 4);
+  const auto routing = topo::compute_shortest_paths(t);
+  Input in;
+  in.topo = &t;
+  in.routing = &routing;
+  in.cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  in.scenario = "fattree4-sweep";
+  const Report r = sweep_failures(in, 1);
+  ASSERT_TRUE(r.failure_sweep.has_value());
+  const FailureSweep& fs = *r.failure_sweep;
+  EXPECT_EQ(fs.baseline, Verdict::kDeadlockFree);
+  EXPECT_EQ(fs.combos, t.switch_links().size());
+  std::size_t flipped = 0;
+  for (const FailureCombo& c : fs.results) {
+    EXPECT_EQ(c.flips, c.verdict != Verdict::kDeadlockFree);
+    if (c.flips) ++flipped;
+  }
+  EXPECT_EQ(fs.flipped, flipped);
+  // Every size-1 flipping combo is trivially minimal: culprits == flips.
+  EXPECT_EQ(fs.culprits.size(), flipped);
+  for (std::size_t idx : fs.culprits) {
+    ASSERT_LT(idx, fs.results.size());
+    EXPECT_TRUE(fs.results[idx].flips);
+  }
+}
+
+// --- Repair suggestions.
+
+TEST(RepairTest, RingRepairsAreVerifiedCbdFree) {
+  BuiltScenario sc;
+  std::string err;
+  ASSERT_TRUE(build_scenario("ring:3:2", &sc, &err)) << err;
+  Input in;
+  in.topo = &sc.topo;
+  in.routing = &sc.routing;
+  in.cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  in.flows = sc.flows;
+  in.scenario = sc.name;
+  Report r = analyze(in);
+  ASSERT_FALSE(r.cycles.empty());
+  const Repairs rep = suggest_repairs(in, r);
+  ASSERT_FALSE(rep.suggestions.empty());
+  for (const RepairSuggestion& s : rep.suggestions) {
+    EXPECT_TRUE(s.kind == "link_removal" || s.kind == "turn_restriction");
+    EXPECT_FALSE(s.removals.empty());
+    EXPECT_GT(s.cycles_broken, 0u);
+    // The ring's single CBD is trivially breakable both ways; the
+    // re-verification must confirm it.
+    EXPECT_TRUE(s.verified_cbd_free) << s.kind;
+  }
+  // Deterministic, including through the JSON section.
+  r.repairs = rep;
+  Report r2 = analyze(in);
+  r2.repairs = suggest_repairs(in, r2);
+  EXPECT_EQ(r.json(), r2.json());
+}
+
+TEST(RepairTest, CbdFreeReportYieldsNoSuggestions) {
+  BuiltScenario sc;
+  std::string err;
+  ASSERT_TRUE(build_scenario("incast:4", &sc, &err)) << err;
+  Input in;
+  in.topo = &sc.topo;
+  in.routing = &sc.routing;
+  in.cfg = cli_config(runner::FcKind::kPfc, 300'000);
+  in.scenario = sc.name;
+  const Report r = analyze(in);
+  ASSERT_TRUE(r.cbd_free());
+  EXPECT_TRUE(suggest_repairs(in, r).suggestions.empty());
 }
 
 }  // namespace

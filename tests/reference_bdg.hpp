@@ -119,6 +119,15 @@ inline ReferenceRoutingTable reference_shortest_paths(const Topology& topo) {
   return table;
 }
 
+/// One step of a destination's closure construction: ensure the vertex
+/// for `a` exists; when `edge` is set, also ensure `b`'s vertex and append
+/// the (deduplicated) dependency edge a -> b.
+struct ReferenceClosureOp {
+  DirectedLink a;
+  DirectedLink b;
+  bool edge = false;
+};
+
 /// The map-indexed graph: vertex ids come from a std::map lookup per op.
 class ReferenceBdg {
  public:
@@ -185,10 +194,10 @@ class ReferenceBdg {
   const std::vector<std::vector<int>>& adjacency() const { return edges_; }
 
  private:
-  std::vector<ClosureOp> closure_ops(const ReferenceRoutingTable& routing,
-                                     NodeIndex dst) const {
+  std::vector<ReferenceClosureOp> closure_ops(
+      const ReferenceRoutingTable& routing, NodeIndex dst) const {
     const Topology& topo = *topo_;
-    std::vector<ClosureOp> ops;
+    std::vector<ReferenceClosureOp> ops;
     std::vector<char> reachable(topo.node_count());
     std::vector<NodeIndex> frontier;
     for (NodeIndex s : topo.hosts()) {
@@ -224,8 +233,8 @@ class ReferenceBdg {
     return ops;
   }
 
-  void apply_ops(const std::vector<ClosureOp>& ops) {
-    for (const ClosureOp& op : ops) {
+  void apply_ops(const std::vector<ReferenceClosureOp>& ops) {
+    for (const ReferenceClosureOp& op : ops) {
       const int a = vertex(op.a);
       if (!op.edge) continue;
       const int b = vertex(op.b);

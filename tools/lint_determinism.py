@@ -32,8 +32,8 @@ RULES = [
 ]
 
 # Extra rules for the analyzer only: src/analyze promises byte-identical
-# reports (golden JSON cmp in CI, and the incremental analyzer's whole
-# correctness argument is byte-equality with from-scratch analysis).
+# reports (golden JSON cmp in CI, and the --jobs / --shards / resume
+# byte-identity checks of every campaign that re-verdicts mid-run).
 # Iteration order must therefore never depend on addresses: a map or set
 # keyed on pointers iterates in allocation order, which varies run to run
 # under ASLR.
