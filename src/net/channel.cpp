@@ -14,14 +14,14 @@ Channel::Channel(Network& net, Node& dst, int dst_port, sim::TimePs prop_delay)
       final_hop_(!dst.is_switch()) {}
 
 void Channel::ensure_flight_timer() {
-  if (!flight_timer_.valid())
-    flight_timer_ =
-        dst_.sched_ref().register_multishot([this] { flight_arrival(); });
+  if (flight_timer_.valid()) return;
+  sim::Scheduler& sched = dst_.sched_ref();
+  flight_timer_ = sched.register_multishot([this] { flight_arrival(); });
+  flight_gen_ = sched.timer_gen(flight_timer_);
 }
 
 void Channel::flight_arrival() {
-  Packet* pkt = flight_.front();
-  flight_.pop_front();
+  Packet* pkt = flight_.pop_front();
   // Arrival-time check: a link that went down mid-propagation loses the
   // frame (both PHYs are gone; there is no store-and-forward on a wire).
   if (!up_) {
@@ -82,15 +82,14 @@ void Channel::par_propagate(Packet* pkt, ShardContext& c) {
   } else {
     // Cross-shard wire: the destination scheduler belongs to another
     // worker. Stage the packet (the coordinator splices it into flight_ at
-    // the barrier, in log-replay order) and log a foreign deferred fire_at.
-    // Reading the multishot timer's generation from this thread is safe:
-    // it never changes while the timer stays registered.
+    // the barrier, in log-replay order) and log a foreign deferred fire_at,
+    // stamped with the generation cached at registration.
     staged_.push_back(pkt);
     sim::WinRecord r;
     r.kind = sim::WinRecord::kCall;
     r.flags = sim::WinRecord::kDeferred | sim::WinRecord::kForeignLive;
     r.slot = flight_timer_.value - 1;
-    r.gen = dsched.timer_gen(flight_timer_);
+    r.gen = flight_gen_;
     r.t = t_arr;
     r.target = &dsched;
     c.log->recs.push_back(r);

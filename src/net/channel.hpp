@@ -9,10 +9,11 @@
 // edge-triggered protocols (PFC) lose XOFF/XON state.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_fifo.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -71,11 +72,16 @@ class Channel {
   // monotonic clock), so one multishot timer pops this queue head per
   // firing instead of each packet carrying its own one-shot closure.
   // Fault-delayed frames break FIFO and keep the one-shot path.
-  std::deque<Packet*> flight_;
+  PacketFifo flight_;
   /// Cross-shard sends staged during a window (single writer: the source
   /// shard; spliced into flight_ at the barrier by the coordinator).
   std::vector<Packet*> staged_;
   sim::TimerId flight_timer_{};
+  /// flight_timer_'s slot generation, read once at registration (it never
+  /// changes while the multishot timer stays registered). Cross-shard sends
+  /// stamp it from the source shard's thread, which must not index the
+  /// destination scheduler's slot table while that shard may be growing it.
+  std::uint32_t flight_gen_ = 0;
 };
 
 }  // namespace gfc::net

@@ -36,6 +36,9 @@ std::pair<int, int> Network::connect(NodeId a, NodeId b, sim::Rate rate,
                                      sim::TimePs prop_delay) {
   Node& na = node(a);
   Node& nb = node(b);
+  // Check both ends first so a refused link leaves neither node half-wired.
+  na.check_port_room(a == b ? 2 : 1);
+  nb.check_port_room(1);
   const int pa = na.add_port(rate);
   const int pb = nb.add_port(rate);
   channels_.push_back(std::make_unique<Channel>(*this, nb, pb, prop_delay));

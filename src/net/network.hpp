@@ -100,7 +100,9 @@ class Network {
   HostNode& add_host(std::string name);
 
   /// Wire a full-duplex link: creates one port on each node and a channel
-  /// in each direction. Returns {port index on a, port index on b}.
+  /// in each direction. Returns {port index on a, port index on b}. Throws
+  /// std::invalid_argument, wiring nothing, when either node already has
+  /// its Node::max_ports().
   std::pair<int, int> connect(NodeId a, NodeId b, sim::Rate rate,
                               sim::TimePs prop_delay);
 

@@ -1,6 +1,8 @@
 #include "net/node.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "net/network.hpp"
 
@@ -10,10 +12,18 @@ Node::Node(Network& net, NodeId id, std::string name)
     : net_(net), sched_(&net.sched()), id_(id), name_(std::move(name)) {}
 
 int Node::add_port(sim::Rate rate) {
+  check_port_room(1);
   const int idx = static_cast<int>(ports_.size());
   ports_.push_back(std::make_unique<EgressPort>(*this, idx, rate));
   peers_.push_back(Peer{});
+  on_port_added();
   return idx;
+}
+
+void Node::check_port_room(int n) const {
+  if (port_count() > max_ports() - n)
+    throw std::invalid_argument(name_ + ": cannot wire more than " +
+                                std::to_string(max_ports()) + " ports");
 }
 
 void Node::set_fc(std::unique_ptr<FcModule> fc) {

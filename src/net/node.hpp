@@ -1,6 +1,7 @@
 // Node base class: anything with ports (switches, hosts).
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,8 +67,14 @@ class Node {
   };
   Peer peer(int port_index) const { return peers_[static_cast<std::size_t>(port_index)]; }
 
-  /// Create a new port transmitting at `rate`; returns its index.
+  /// Create a new port transmitting at `rate`; returns its index. Throws
+  /// std::invalid_argument when the node already has max_ports().
   int add_port(sim::Rate rate);
+
+  /// Most ports this node can be wired with.
+  virtual int max_ports() const { return std::numeric_limits<int>::max(); }
+  /// Throws std::invalid_argument unless `n` more ports fit.
+  void check_port_room(int n) const;
 
   void set_fc(std::unique_ptr<FcModule> fc);
   FcModule* fc() { return fc_.get(); }
@@ -80,6 +87,10 @@ class Node {
   void send_control(int port_index, Packet* pkt);
 
  protected:
+  /// A port was just added (subclasses size per-port state here, so
+  /// nothing on the packet path has to).
+  virtual void on_port_added() {}
+
   /// Route an arriving link-control frame to the FcModule after the
   /// configured processing delay, then free it.
   void deliver_control(Packet* pkt, int in_port);

@@ -1,5 +1,7 @@
 #include "net/packet.hpp"
 
+#include <cassert>
+
 namespace gfc::net {
 
 Packet* PacketPool::acquire() {
@@ -29,6 +31,7 @@ Packet* PacketPool::acquire() {
 }
 
 void PacketPool::release(Packet* pkt) {
+  assert(pkt->next == nullptr && "released packet is still linked in a queue");
   --live_;
   free_list_.push_back(pkt);
 }

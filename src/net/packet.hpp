@@ -46,43 +46,51 @@ constexpr bool is_link_control(PacketType t) {
          t == PacketType::kCredit;
 }
 
+/// Fields are grouped by width (8-, 4-, then 1-byte) so the struct has no
+/// interior padding: 96 B, which the packet pool multiplies by every packet
+/// alive in the fabric.
 struct Packet {
   std::uint64_t id = 0;
-  PacketType type = PacketType::kData;
-  std::uint8_t priority = 0;
   std::int64_t size_bytes = 0;  // wire size, used for all timing/accounting
-
-  NodeId src = kInvalidNode;  // originating host (data / CNP)
-  NodeId dst = kInvalidNode;  // destination host (data / CNP)
   FlowId flow = kInvalidFlow;
   /// Copy of Flow::path_salt, stamped wherever `flow` is assigned, so the
   /// per-hop ECMP choice reads it without dereferencing the flow table.
   std::uint64_t path_salt = 0;
+  sim::TimePs created_at = 0;  // for latency accounting
+
+  /// Intrusive FIFO link (see net/packet_fifo.hpp). A packet sits in at
+  /// most one queue at a time — switch queue, port bypass lane, wire — and
+  /// is null whenever it is in none.
+  Packet* next = nullptr;
+
+  /// Control payloads (interpretation depends on `type`).
+  std::int64_t fc_value = 0;     // kGfcQueue: queue bytes; kCredit: FCCL blocks
+  /// DCFIT deadlock-detection trigger carried by kPfcPause frames (see
+  /// src/mech/dcfit.hpp): the switch that originated the trigger and its
+  /// node-local sequence number. kInvalidNode = no trigger attached.
+  std::uint64_t fc_trigger_seq = 0;
+  std::int32_t fc_trigger_origin = kInvalidNode;
+  std::int32_t fc_priority = 0;  // priority the control frame acts on
+  std::int32_t fc_stage = 0;     // kGfcStage: stage index
+
+  NodeId src = kInvalidNode;  // originating host (data / CNP)
+  NodeId dst = kInvalidNode;  // destination host (data / CNP)
 
   /// Per-hop state: ingress port at the switch currently buffering the
   /// packet (charged back on departure) and the egress its route selected.
   std::int32_t ingress_port = -1;
   std::int32_t out_port = -1;
 
+  PacketType type = PacketType::kData;
+  std::uint8_t priority = 0;
   /// ECN congestion-experienced mark (set by switches, read by receivers).
   bool ecn_ce = false;
-
-  /// Control payloads (interpretation depends on `type`).
-  std::int32_t fc_priority = 0;  // priority the control frame acts on
-  std::int32_t fc_stage = 0;     // kGfcStage: stage index
-  std::int64_t fc_value = 0;     // kGfcQueue: queue bytes; kCredit: FCCL blocks
-
-  /// DCFIT deadlock-detection trigger carried by kPfcPause frames (see
-  /// src/mech/dcfit.hpp): the switch that originated the trigger and its
-  /// node-local sequence number. kInvalidNode = no trigger attached.
-  std::int32_t fc_trigger_origin = kInvalidNode;
-  std::uint64_t fc_trigger_seq = 0;
-
-  sim::TimePs created_at = 0;  // for latency accounting
 
   /// True for frames that bypass data queues at the egress port.
   bool is_control() const { return is_link_control(type); }
 };
+static_assert(sizeof(Packet) <= 104,
+              "Packet grew: the pool holds one per packet alive in the fabric");
 
 /// Free-list pool. Packets are created/destroyed at very high rate; the
 /// pool keeps them out of the general-purpose allocator and stabilizes ids.

@@ -55,7 +55,7 @@ void EgressPort::enqueue(Packet* pkt) {
   for (auto& b : pq.buckets)
     if (b.key == pkt->ingress_port) bucket = &b;
   if (bucket == nullptr) {
-    pq.buckets.push_back(Bucket{pkt->ingress_port, {}});
+    pq.buckets.push_back(Bucket{pkt->ingress_port, PacketFifo{}});
     bucket = &pq.buckets.back();
   }
   bucket->q.push_back(pkt);
@@ -133,8 +133,7 @@ void EgressPort::try_transmit() {
   // Control frames bypass data queues and all gating.
   if (!control_q_.empty()) {
     cancel_wake();
-    Packet* pkt = control_q_.front();
-    control_q_.pop_front();
+    Packet* pkt = control_q_.pop_front();
     start_tx(pkt, /*control=*/true);
     return;
   }

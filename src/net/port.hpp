@@ -14,11 +14,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_fifo.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -101,8 +101,7 @@ class EgressPort {
   template <typename Fn>
   void for_each_queued(Fn&& fn) const {
     for (const auto& pq : data_)
-      for (const auto& bucket : pq.buckets)
-        for (const Packet* p : bucket.q) fn(*p);
+      for (const auto& bucket : pq.buckets) bucket.q.for_each(fn);
     if (in_flight_ != nullptr && !in_flight_->is_control()) fn(*in_flight_);
   }
 
@@ -110,7 +109,7 @@ class EgressPort {
   /// Per-ingress-source FIFO inside one priority class.
   struct Bucket {
     std::int32_t key;
-    std::deque<Packet*> q;
+    PacketFifo q;
   };
   struct PrioQueue {
     std::vector<Bucket> buckets;
@@ -142,7 +141,7 @@ class EgressPort {
   sim::Rate rate_;
   Channel* channel_ = nullptr;
 
-  std::deque<Packet*> control_q_;
+  PacketFifo control_q_;
   std::array<PrioQueue, kNumPriorities> data_;
   int rr_prio_ = 0;  // round-robin pointer over priorities
   // Bit p set iff data_[p] holds packets; the transmit scan walks set bits

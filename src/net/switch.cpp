@@ -13,17 +13,20 @@ SwitchNode::SwitchNode(Network& net, NodeId id, std::string name,
                        std::int64_t ingress_buffer_bytes)
     : Node(net, id, std::move(name)), buffer_(ingress_buffer_bytes) {}
 
-void SwitchNode::ensure_tables() {
+void SwitchNode::set_arch(SwitchArch a) {
+  arch_ = a;
+  size_tables();
+}
+
+void SwitchNode::on_port_added() { size_tables(); }
+
+void SwitchNode::size_tables() {
   const auto n = static_cast<std::size_t>(port_count());
-  if (ingress_bytes_.size() < n) {
-    ingress_bytes_.resize(n);
-    inq_.resize(n);
-    outq_.resize(n);
-    outq_bytes_.resize(n);
-    rr_.resize(n);
-    arb_rr_.resize(n, 0);
-    assert(n <= 64 && "dispatch bitmasks assume <= 64 ports");
-  }
+  ingress_bytes_.resize(n);
+  outq_.resize(n);
+  rr_.resize(n);
+  arb_rr_.resize(n, 0);
+  if (arch_ != SwitchArch::kOutputQueuedFifo) inq_.resize(n);
 }
 
 void SwitchNode::set_route(NodeId dst, std::span<const std::int32_t> out_ports) {
@@ -61,19 +64,16 @@ std::int64_t SwitchNode::ingress_bytes_total(int port) const {
 
 void SwitchNode::head_targets(int in_port, std::vector<int>* out) const {
   out->clear();
-  if (static_cast<std::size_t>(in_port) >= inq_.size()) return;
   // Input-queue heads wait on the egress their route selected.
-  for (const auto& q : inq_[static_cast<std::size_t>(in_port)])
-    if (!q.empty()) out->push_back(q.front()->out_port);
+  if (static_cast<std::size_t>(in_port) < inq_.size())
+    for (const PacketFifo& q : inq_[static_cast<std::size_t>(in_port)])
+      if (!q.empty()) out->push_back(q.front()->out_port);
   // Already-dispatched packets wait inside their egress output queue.
   for (std::size_t e = 0; e < outq_.size(); ++e) {
     bool holds = false;
-    for (const auto& q : outq_[e]) {
-      for (const Packet* p : q)
-        if (p->ingress_port == in_port) {
-          holds = true;
-          break;
-        }
+    for (const PacketFifo& q : outq_[e]) {
+      for (const Packet* p = q.front(); p != nullptr && !holds; p = p->next)
+        holds = p->ingress_port == in_port;
       if (holds) break;
     }
     if (holds) out->push_back(static_cast<int>(e));
@@ -117,7 +117,6 @@ void SwitchNode::receive(Packet* pkt, int in_port) {
     deliver_control(pkt, in_port);
     return;
   }
-  ensure_tables();
   const int out = route_for(*pkt);
   if (out < 0) {
     ++network().counters().route_drops;
@@ -133,15 +132,12 @@ void SwitchNode::receive(Packet* pkt, int in_port) {
   maybe_mark_ecn(*pkt, in_port);
   active_prios_ |= 1u << pkt->priority;
   // Output-queued: straight into the egress FIFO, arrival order.
-  auto& q = arch_ == SwitchArch::kOutputQueuedFifo
-                ? outq_[static_cast<std::size_t>(out)]
-                       [static_cast<std::size_t>(pkt->priority)]
-                : inq_[static_cast<std::size_t>(in_port)]
-                      [static_cast<std::size_t>(pkt->priority)];
+  PacketFifo& q = arch_ == SwitchArch::kOutputQueuedFifo
+                      ? outq_[static_cast<std::size_t>(out)]
+                             [static_cast<std::size_t>(pkt->priority)]
+                      : inq_[static_cast<std::size_t>(in_port)]
+                            [static_cast<std::size_t>(pkt->priority)];
   q.push_back(pkt);
-  if (arch_ == SwitchArch::kOutputQueuedFifo)
-    outq_bytes_[static_cast<std::size_t>(out)]
-               [static_cast<std::size_t>(pkt->priority)] += pkt->size_bytes;
   if (fc()) fc()->on_ingress_enqueue(in_port, pkt->priority, *pkt);
   // Only a fresh head can unblock anything.
   if (q.size() == 1) {
@@ -163,8 +159,8 @@ void SwitchNode::dispatch(int seed_egress) {
     auto& cursor = arb_rr_[static_cast<std::size_t>(e)];
     for (int prio = 0; prio < kNumPriorities; ++prio) {
       if ((active_prios_ & (1u << prio)) == 0) continue;
-      auto& oq = outq_[static_cast<std::size_t>(e)][static_cast<std::size_t>(prio)];
-      auto& ob = outq_bytes_[static_cast<std::size_t>(e)][static_cast<std::size_t>(prio)];
+      PacketFifo& oq =
+          outq_[static_cast<std::size_t>(e)][static_cast<std::size_t>(prio)];
       // Admit competing input-queue heads round-robin while there is room.
       bool progress = true;
       while (progress) {
@@ -172,16 +168,14 @@ void SwitchNode::dispatch(int seed_egress) {
         for (int step = 0; step < ports; ++step) {
           int in = cursor + step;
           if (in >= ports) in -= ports;  // cursor + step < 2*ports
-          auto& q =
+          PacketFifo& q =
               inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
           if (q.empty() || q.front()->out_port != e) continue;
-          Packet* head = q.front();
           // Head-of-line rule: a full output queue blocks this whole input
           // FIFO (for this priority). An empty output queue always accepts.
-          if (!oq.empty() && ob + head->size_bytes > egress_cap_) break;
-          q.pop_front();
-          oq.push_back(head);
-          ob += head->size_bytes;
+          if (!oq.empty() && oq.bytes() + q.front()->size_bytes > egress_cap_)
+            break;
+          oq.push_back(q.pop_front());
           kicked |= 1ull << static_cast<unsigned>(e);
           cursor = in + 1 == ports ? 0 : in + 1;
           progress = true;
@@ -207,8 +201,11 @@ void SwitchNode::dispatch(int seed_egress) {
 }
 
 void SwitchNode::fire_kicks() {
-  const std::uint64_t kicked = kick_masks_.front();
-  kick_masks_.pop_front();
+  const std::uint64_t kicked = kick_masks_[kick_head_++];
+  if (kick_head_ == kick_masks_.size()) {
+    kick_masks_.clear();
+    kick_head_ = 0;
+  }
   for (int e = 0; e < port_count(); ++e)
     if (kicked & (1ull << static_cast<unsigned>(e))) port(e).kick();
 }
@@ -216,7 +213,6 @@ void SwitchNode::fire_kicks() {
 Packet* SwitchNode::poll_data(int egress_port, sim::TimePs now,
                               sim::TimePs* wake_at, bool consume,
                               bool* any_waiting) {
-  ensure_tables();
   EgressRr& rr = rr_[static_cast<std::size_t>(egress_port)];
   TxGate& gate = port(egress_port).gate();
 
@@ -230,16 +226,14 @@ Packet* SwitchNode::poll_data(int egress_port, sim::TimePs now,
       const int pstep = std::countr_zero(prot);
       prot &= prot - 1;
       const int prio = (rr.prio + pstep) % kNumPriorities;
-      auto& q = outq_[static_cast<std::size_t>(egress_port)]
-                     [static_cast<std::size_t>(prio)];
+      PacketFifo& q = outq_[static_cast<std::size_t>(egress_port)]
+                           [static_cast<std::size_t>(prio)];
       if (q.empty()) continue;
       Packet* head = q.front();
       if (any_waiting != nullptr) *any_waiting = true;
       if (!gate.allowed(*head, now, wake_at)) continue;
       if (!consume) return head;
       q.pop_front();
-      outq_bytes_[static_cast<std::size_t>(egress_port)]
-                 [static_cast<std::size_t>(prio)] -= head->size_bytes;
       rr.prio = (prio + 1) % kNumPriorities;
       if (arch_ == SwitchArch::kCioqRoundRobin)
         dispatch(egress_port);  // freed room: pull waiting input heads in
@@ -256,7 +250,8 @@ Packet* SwitchNode::poll_data(int egress_port, sim::TimePs now,
     for (int istep = 0; istep < ports; ++istep) {
       int in = rr.in + istep;
       if (in >= ports) in -= ports;  // rr.in + istep < 2*ports
-      auto& q = inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
+      PacketFifo& q =
+          inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
       if (q.empty()) continue;
       Packet* head = q.front();
       if (head->out_port != egress_port) continue;
@@ -299,7 +294,6 @@ void SwitchNode::on_departure(Packet& pkt, int /*out_port*/) {
 }
 
 void SwitchNode::reroute_stranded() {
-  ensure_tables();
   const int ports = port_count();
   std::uint64_t kicked = 0;
   const auto drop = [this](Packet* p) {
@@ -309,17 +303,16 @@ void SwitchNode::reroute_stranded() {
     release_ingress(*p);
     network().free_packet(p);
   };
-  // Output queues behind dead links: pull everything out and requeue on the
-  // freshly routed egress (arrival order preserved within each queue).
+  // Output queues behind dead links: detach the whole chain and requeue it
+  // on the freshly routed egress (arrival order preserved within each queue).
   for (int e = 0; e < ports; ++e) {
     if (port(e).link_up()) continue;
     for (int prio = 0; prio < kNumPriorities; ++prio) {
-      auto& q = outq_[static_cast<std::size_t>(e)][static_cast<std::size_t>(prio)];
-      if (q.empty()) continue;
-      std::deque<Packet*> stranded;
-      stranded.swap(q);
-      outq_bytes_[static_cast<std::size_t>(e)][static_cast<std::size_t>(prio)] = 0;
-      for (Packet* p : stranded) {
+      PacketFifo stranded =
+          outq_[static_cast<std::size_t>(e)][static_cast<std::size_t>(prio)]
+              .take_all();
+      while (!stranded.empty()) {
+        Packet* p = stranded.pop_front();
         const int out = route_for(*p);
         if (out < 0 || !port(out).link_up()) {
           drop(p);
@@ -328,29 +321,30 @@ void SwitchNode::reroute_stranded() {
         p->out_port = out;
         outq_[static_cast<std::size_t>(out)][static_cast<std::size_t>(prio)]
             .push_back(p);
-        outq_bytes_[static_cast<std::size_t>(out)]
-                   [static_cast<std::size_t>(prio)] += p->size_bytes;
         kicked |= 1ull << static_cast<unsigned>(out);
       }
     }
   }
-  // Input-FIFO entries targeting dead egresses: retarget in place.
-  for (int in = 0; in < ports; ++in) {
-    for (int prio = 0; prio < kNumPriorities; ++prio) {
-      auto& q = inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
-      for (std::size_t i = 0; i < q.size();) {
-        Packet* p = q[i];
+  // Input-FIFO entries targeting dead egresses: retarget in place, unlinking
+  // the unroutable ones from mid-queue.
+  for (PrioFifos& fifos : inq_) {
+    for (PacketFifo& q : fifos) {
+      Packet* prev = nullptr;
+      for (Packet* p = q.front(); p != nullptr;) {
+        Packet* const next = p->next;
         if (p->out_port >= 0 && !port(p->out_port).link_up()) {
           const int out = route_for(*p);
           if (out < 0 || !port(out).link_up()) {
+            q.unlink_after(prev);
             drop(p);
-            q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
+            p = next;
             continue;
           }
           p->out_port = out;
           kicked |= 1ull << static_cast<unsigned>(out);
         }
-        ++i;
+        prev = p;
+        p = next;
       }
     }
   }
@@ -365,7 +359,6 @@ void SwitchNode::reroute_stranded() {
 }
 
 std::uint64_t SwitchNode::drain_egress(int egress) {
-  ensure_tables();
   std::uint64_t dropped = 0;
   const auto drop = [this, &dropped, egress](Packet* p) {
     network().trace_event(trace::EventType::kDrop, id(), egress, p->priority,
@@ -374,28 +367,14 @@ std::uint64_t SwitchNode::drain_egress(int egress) {
     network().free_packet(p);
     ++dropped;
   };
-  for (int prio = 0; prio < kNumPriorities; ++prio) {
-    auto& q =
-        outq_[static_cast<std::size_t>(egress)][static_cast<std::size_t>(prio)];
-    while (!q.empty()) {
-      Packet* p = q.front();
-      q.pop_front();
-      outq_bytes_[static_cast<std::size_t>(egress)]
-                 [static_cast<std::size_t>(prio)] -= p->size_bytes;
-      drop(p);
-    }
-  }
+  for (PacketFifo& q : outq_[static_cast<std::size_t>(egress)])
+    while (!q.empty()) drop(q.pop_front());
   // Input-FIFO heads wedged on this egress (CIOQ / input-queued archs).
   std::uint64_t kicked = 0;
-  for (int in = 0; in < port_count(); ++in) {
-    for (int prio = 0; prio < kNumPriorities; ++prio) {
-      auto& q = inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
-      while (!q.empty() && q.front()->out_port == egress) {
-        Packet* p = q.front();
-        q.pop_front();
-        drop(p);
-      }
-      if (!q.empty() && q.front()->out_port != egress)
+  for (PrioFifos& fifos : inq_) {
+    for (PacketFifo& q : fifos) {
+      while (!q.empty() && q.front()->out_port == egress) drop(q.pop_front());
+      if (!q.empty())
         kicked |= 1ull << static_cast<unsigned>(q.front()->out_port);
     }
   }
@@ -407,34 +386,23 @@ std::uint64_t SwitchNode::drain_egress(int egress) {
 }
 
 std::uint64_t SwitchNode::drop_egress_head(int egress) {
-  ensure_tables();
   const auto drop = [this, egress](Packet* p) {
     network().trace_event(trace::EventType::kDrop, id(), egress, p->priority,
                           p->id, p->size_bytes);
     release_ingress(*p);
     network().free_packet(p);
   };
-  for (int prio = 0; prio < kNumPriorities; ++prio) {
-    auto& q =
-        outq_[static_cast<std::size_t>(egress)][static_cast<std::size_t>(prio)];
+  for (PacketFifo& q : outq_[static_cast<std::size_t>(egress)]) {
     if (q.empty()) continue;
-    Packet* p = q.front();
-    q.pop_front();
-    outq_bytes_[static_cast<std::size_t>(egress)]
-               [static_cast<std::size_t>(prio)] -= p->size_bytes;
-    drop(p);
+    drop(q.pop_front());
     if (arch_ == SwitchArch::kCioqRoundRobin) dispatch(egress);
     return 1;
   }
   // No output-queued packet: drop an input-FIFO head wedged on this egress.
-  for (int in = 0; in < port_count(); ++in) {
-    for (int prio = 0; prio < kNumPriorities; ++prio) {
-      auto& q =
-          inq_[static_cast<std::size_t>(in)][static_cast<std::size_t>(prio)];
+  for (PrioFifos& fifos : inq_) {
+    for (PacketFifo& q : fifos) {
       if (q.empty() || q.front()->out_port != egress) continue;
-      Packet* p = q.front();
-      q.pop_front();
-      drop(p);
+      drop(q.pop_front());
       if (!q.empty() && q.front()->out_port != egress)
         port(q.front()->out_port).kick();
       if (arch_ == SwitchArch::kCioqRoundRobin) dispatch(egress);

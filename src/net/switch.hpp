@@ -20,16 +20,22 @@
 // Either way a packet is charged to the (ingress port, priority) it arrived
 // on until it finishes transmitting on its egress, which is what the
 // PFC/CBFC/GFC downstream halves watch.
+//
+// Every FIFO is an intrusive PacketFifo, and every per-port table is sized
+// as ports are wired (input FIFOs only for the architectures that read
+// them), so the packet path never allocates. A switch takes at most
+// kMaxPorts ports: the dispatch and kick paths carry egress sets as 64-bit
+// masks.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
 #include <span>
 #include <vector>
 
 #include "net/node.hpp"
+#include "net/packet_fifo.hpp"
 
 namespace gfc::net {
 
@@ -54,7 +60,11 @@ class SwitchNode final : public Node {
   SwitchNode(Network& net, NodeId id, std::string name,
              std::int64_t ingress_buffer_bytes);
 
-  void set_arch(SwitchArch a) { arch_ = a; }
+  /// Most ports one switch can be wired with (Network::connect throws past
+  /// it).
+  static constexpr int kMaxPorts = 64;
+
+  void set_arch(SwitchArch a);
   SwitchArch arch() const { return arch_; }
 
   /// CIOQ egress output-queue byte cap per (egress, priority).
@@ -62,6 +72,7 @@ class SwitchNode final : public Node {
   std::int64_t egress_queue_cap() const { return egress_cap_; }
 
   bool is_switch() const override { return true; }
+  int max_ports() const override { return kMaxPorts; }
   void receive(Packet* pkt, int in_port) override;
   void on_departure(Packet& pkt, int out_port) override;
   Packet* poll_data(int egress_port, sim::TimePs now, sim::TimePs* wake_at,
@@ -86,6 +97,16 @@ class SwitchNode final : public Node {
                          [static_cast<std::size_t>(prio)];
   }
   std::int64_t ingress_bytes_total(int port) const;
+
+  /// FIFO of (egress port, priority): every queued packet under the
+  /// output-queued architecture, the admitted ones under CIOQ.
+  const PacketFifo& egress_queue(int egress, int prio) const {
+    return outq_[static_cast<std::size_t>(egress)][static_cast<std::size_t>(prio)];
+  }
+  /// Input FIFO of (ingress port, priority); CIOQ and input-queued only.
+  const PacketFifo& input_queue(int in_port, int prio) const {
+    return inq_[static_cast<std::size_t>(in_port)][static_cast<std::size_t>(prio)];
+  }
 
   /// Egress ports targeted by the current heads of ingress queue
   /// `in_port` (one per active priority) — deadlock wait-for edges.
@@ -115,22 +136,29 @@ class SwitchNode final : public Node {
   /// ingress accounting. Returns the number of packets dropped (0 or 1).
   std::uint64_t drop_egress_head(int egress);
 
+ protected:
+  void on_port_added() override;
+
  private:
+  using PrioFifos = std::array<PacketFifo, kNumPriorities>;
+
+  /// Grow the per-port tables to port_count() (inq_ only when read).
+  void size_tables();
   void account_enqueue(Packet& pkt, int in_port);
   /// Release (ingress port, priority) accounting and fire the flow-control
   /// dequeue hook — shared by departure and the runtime drop paths.
   void release_ingress(Packet& pkt);
   void maybe_mark_ecn(Packet& pkt, int in_port);
-  void ensure_tables();
 
   std::int64_t buffer_;
   EcnConfig ecn_;
   std::vector<std::array<std::int64_t, kNumPriorities>> ingress_bytes_;
-  /// Input FIFOs per (ingress port, priority).
-  std::vector<std::array<std::deque<Packet*>, kNumPriorities>> inq_;
-  /// CIOQ egress FIFOs per (egress port, priority), bounded by egress_cap_.
-  std::vector<std::array<std::deque<Packet*>, kNumPriorities>> outq_;
-  std::vector<std::array<std::int64_t, kNumPriorities>> outq_bytes_;
+  /// Input FIFOs per (ingress port, priority); empty under the
+  /// output-queued architecture, which never reads them.
+  std::vector<PrioFifos> inq_;
+  /// Egress FIFOs per (egress port, priority); bounded by egress_cap_ bytes
+  /// under CIOQ.
+  std::vector<PrioFifos> outq_;
   /// Round-robin cursors per egress port.
   struct EgressRr {
     int prio = 0;
@@ -149,7 +177,9 @@ class SwitchNode final : public Node {
   std::uint32_t active_prios_ = 0;  // bitmask: priorities ever seen
   // Deferred-kick masks, FIFO, drained by the shared multishot kick timer —
   // one firing per queued mask, in the order the dispatches armed it.
-  std::deque<std::uint64_t> kick_masks_;
+  // kick_head_ is the next mask to fire; both reset when the queue drains.
+  std::vector<std::uint64_t> kick_masks_;
+  std::size_t kick_head_ = 0;
   sim::TimerId kick_timer_{};
   SwitchArch arch_ = SwitchArch::kOutputQueuedFifo;
   std::int64_t egress_cap_ = 3000;  // 2 MTU

@@ -306,8 +306,10 @@ class Scheduler {
   }
 
   /// Slot generation of a registered timer — stable for multishot timers
-  /// (never bumped while registered), which makes the cross-shard fire_at
-  /// log entry safe to stamp from the sending shard's thread.
+  /// (never bumped while registered), so a caller may read it once on the
+  /// owning thread and stamp cross-shard fire_at log entries with the copy.
+  /// Not callable from another shard's thread mid-window: registering a
+  /// timer may grow the slot table this indexes.
   std::uint32_t timer_gen(TimerId timer) {
     return slot_ptr(timer.value - 1)->gen;
   }

@@ -116,7 +116,7 @@ TEST(FlightRecorder, KeepsLastNPerNodeAndMergesInTimeOrder) {
   EXPECT_EQ(fr.merged_window().size(), 4u);
 }
 
-// --- end-to-end: a traced 2-switch ring --------------------------------------
+// --- end-to-end: a traced 3-switch ring --------------------------------------
 
 runner::RingScenario traced_ring(std::uint32_t categories = kCatAll) {
   runner::ScenarioConfig cfg;
@@ -125,7 +125,7 @@ runner::RingScenario traced_ring(std::uint32_t categories = kCatAll) {
                                    cfg.tau());
   cfg.trace.enabled = true;
   cfg.trace.categories = categories;
-  return runner::make_ring(cfg, 2, 1);
+  return runner::make_ring(cfg, 3, 1);
 }
 
 TEST(TraceRoundTrip, CsvReimportsExactly) {
@@ -242,7 +242,7 @@ TEST(TraceDeferred, ExportsByteIdenticalToEager) {
     // A small staging buffer forces many mid-run flushes, including
     // partially-filled buffers at export time.
     cfg.trace.staging_capacity = 64;
-    runner::RingScenario s = runner::make_ring(cfg, 2, 1);
+    runner::RingScenario s = runner::make_ring(cfg, 3, 1);
     s.fabric->net().run_until(sim::ms(1));
     std::stringstream j, c;
     write_chrome_json(j, s.fabric->net().tracer()->buffer(),
@@ -269,7 +269,7 @@ TEST(TraceDeferred, WrappedRingMatchesEager) {
     cfg.trace.enabled = true;
     cfg.trace.deferred = mode == 0;
     cfg.trace.capacity = 256;  // tiny: wraps thousands of times
-    runner::RingScenario s = runner::make_ring(cfg, 2, 1);
+    runner::RingScenario s = runner::make_ring(cfg, 3, 1);
     s.fabric->net().run_until(sim::ms(1));
     const TraceBuffer& buf = s.fabric->net().tracer()->buffer();
     EXPECT_GT(buf.dropped(), 0u);
@@ -292,7 +292,7 @@ TEST(TraceDeferred, FlightWindowsMatchEager) {
                                      cfg.tau());
     cfg.trace.enabled = true;
     cfg.trace.deferred = mode == 0;
-    runner::RingScenario s = runner::make_ring(cfg, 2, 1);
+    runner::RingScenario s = runner::make_ring(cfg, 3, 1);
     s.fabric->net().run_until(sim::ms(1));
     std::stringstream ss;
     write_flight_dump(ss, *s.fabric->net().tracer()->flight(),
